@@ -28,9 +28,7 @@ def _maintain_truss(g: LocalGraph, k: int) -> None:
     t = trussness(g)
     for (u, v), kv in t.items():
         if kv < k:
-            if v in g.adj.get(u, ()):  # pragma: no branch
-                g.adj[u].discard(v)
-                g.adj[v].discard(u)
+            g.remove_edge(u, v)
     for v in list(g.adj):
         if not g.adj[v]:
             g.remove_vertex(v)

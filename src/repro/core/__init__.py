@@ -6,7 +6,7 @@
 * ``search`` — ``online_bcc`` / ``lp_bcc`` entry points.
 * ``bcindex``/``l2p`` — Section 6.3's index and L²P-BCC (Algorithm 8).
 """
-from .model import BCCResult, is_bcc, cross_bipartite, pair_satisfied  # noqa: F401
+from .model import BCCResult, InvalidQuery, is_bcc, cross_bipartite, pair_satisfied  # noqa: F401
 from .g0 import find_g0_local, find_g0_spark  # noqa: F401
 from .engine import RefinementEngine  # noqa: F401
 from .search import default_ks, lp_bcc, online_bcc  # noqa: F401

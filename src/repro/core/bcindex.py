@@ -17,7 +17,7 @@ equivalent used by the per-query experiment loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from pyspark.sql import functions as F
 
@@ -26,7 +26,7 @@ from ..graphlib.kcore import coreness as spark_coreness
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
-from ..local.kcore import coreness as local_coreness
+from ..local.kcore import label_coreness
 from .model import cross_bipartite
 
 
@@ -35,7 +35,7 @@ class BCIndex:
     """Vertex coreness (within label group) + per-label-pair chi."""
 
     graph: LocalGraph
-    coreness: Dict[int, int]
+    coreness: Mapping[int, int]
     chi: Dict[FrozenSet, Dict[int, int]] = field(default_factory=dict)
     _spark: Optional[SparkLabeledGraph] = None
 
@@ -66,11 +66,8 @@ class BCIndex:
 
 
 def build_bcindex_local(g: LocalGraph) -> BCIndex:
-    """Per-label-group coreness from local core decomposition."""
-    core: Dict[int, int] = {}
-    for lab in g.label_set():
-        core.update(local_coreness(g.homogeneous_induced(lab)))
-    return BCIndex(g, core)
+    """Per-label-group coreness: the graph's memoised decomposition."""
+    return BCIndex(g, label_coreness(g))
 
 
 def build_bcindex_spark(sg: SparkLabeledGraph) -> BCIndex:

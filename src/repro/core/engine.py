@@ -28,14 +28,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..local.bfs import INF, bfs_distances
 from ..local.butterfly import Bipartite, butterfly_degrees
 from ..local.graph import LocalGraph
 from .fastdist import fast_update
 from .leader import identify_leader, update_leader_on_delete
-from .model import BCCResult
+from .model import BCCResult, InvalidQuery, groups_connected, leaders_clear
 
 
 @dataclass
@@ -55,7 +55,14 @@ class PairState:
 
 
 class RefinementEngine:
-    """Greedy diameter-shrinking refinement of a candidate BCC ``g0``."""
+    """Greedy diameter-shrinking refinement of a candidate BCC ``g0``.
+
+    ``chi`` optionally carries the butterfly degrees that Algorithm 2's
+    feasibility check already counted on ``g0``, per label pair ``(i, j)``
+    in query order (``find_g0_local(..., chi=...)`` fills it); those
+    pairs start from it instead of a fresh Algorithm-3 count. ``g0``
+    itself is not modified, and must not be until :meth:`run` returns.
+    """
 
     def __init__(
         self,
@@ -67,12 +74,18 @@ class RefinementEngine:
         fast: bool = False,
         rho: int = 3,
         max_iterations: int = 100_000,
+        chi: Optional[Mapping[Tuple[int, int], Dict[int, int]]] = None,
     ):
+        self.g0 = g0
         self.g = g0.copy()
         self.g0_vertices = set(g0.vertices)
         self.queries = [int(q) for q in queries]
+        missing = [q for q in self.queries if q not in g0]
+        if missing:
+            raise InvalidQuery(f"query vertices {missing} are not in the candidate graph")
         self.labels = [g0.label(q) for q in self.queries]
-        assert len(set(self.labels)) == len(self.labels), "query labels must differ"
+        if len(set(self.labels)) != len(self.labels):
+            raise InvalidQuery(f"query labels must differ, got {self.labels}")
         self.k_of = dict(zip(self.labels, ks))
         self.q_of = dict(zip(self.labels, self.queries))
         self.b = int(b)
@@ -105,9 +118,14 @@ class RefinementEngine:
             self.pairs.append(ps)
             self.pairs_by_label[self.labels[i]].append(ps)
             self.pairs_by_label[self.labels[j]].append(ps)
-        # initial butterfly count + (fast mode) leader identification
+        # initial butterfly count (unless Algorithm 2 handed it over)
+        # + (fast mode) leader identification
+        given = chi or {}
         for ps in self.pairs:
-            self._full_count(ps)
+            if (ps.ia, ps.ib) in given:
+                self._set_chi(ps, given[ps.ia, ps.ib])
+            else:
+                self._full_count(ps)
         # incremental distance maps per query (LP mode computes lazily too,
         # but the first computation is a full BFS either way)
         self.dist: Dict[int, Dict[int, float]] = {}
@@ -118,11 +136,16 @@ class RefinementEngine:
     def _full_count(self, ps: PairState) -> None:
         """Algorithm 3 on the pair's bipartite graph + leader refresh."""
         t = time.perf_counter()
-        ps.chi = butterfly_degrees(ps.bp)
+        chi = butterfly_degrees(ps.bp)
         self.stats["butterfly_counting"] += 1
-        max_a = max((ps.chi[v] for v in ps.bp.left), default=0)
-        max_b = max((ps.chi[v] for v in ps.bp.right), default=0)
-        ps.satisfied = max_a >= self.b and max_b >= self.b
+        self.stats["leader_time"] += time.perf_counter() - t
+        self._set_chi(ps, chi)
+
+    def _set_chi(self, ps: PairState, chi: Dict[int, int]) -> None:
+        """Adopt a full count of the pair's butterfly degrees + leader refresh."""
+        t = time.perf_counter()
+        ps.chi = chi
+        ps.satisfied = leaders_clear(chi, ps.bp.left, ps.bp.right, self.b)
         if self.fast and ps.satisfied:
             for side in (0, 1):
                 p = self._identify_leader(ps, side)
@@ -186,11 +209,15 @@ class RefinementEngine:
         self.stats["leader_time"] += t_leader
         return gone
 
-    def _check_feasible(self) -> bool:
-        """Algorithm 4's butterfly check / Def.-7 connectivity (Alg 9)."""
-        for ps in self.pairs:
-            if self.fast:
-                witnessed = all(
+    def _check_feasible(self, recount: bool = True) -> bool:
+        """Algorithm 4's butterfly check / Def.-7 connectivity (Alg 9).
+
+        With ``recount`` the pairs are refreshed first (a full count
+        unless, in fast mode, both leaders still witness ``b``).
+        """
+        if recount:
+            for ps in self.pairs:
+                witnessed = self.fast and all(
                     ps.leaders[s] is not None
                     and ps.leaders[s] in self.g
                     and ps.leader_chi[s] >= self.b
@@ -200,23 +227,9 @@ class RefinementEngine:
                     ps.satisfied = True
                 else:
                     self._full_count(ps)
-            else:
-                self._full_count(ps)
-        if len(self.labels) == 2:
-            return self.pairs[0].satisfied if self.pairs else False
-        m = len(self.labels)
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ps in self.pairs:
-            if ps.satisfied:
-                parent[find(ps.ia)] = find(ps.ib)
-        return len({find(i) for i in range(m)}) == 1
+        return groups_connected(
+            len(self.labels), [(ps.ia, ps.ib) for ps in self.pairs if ps.satisfied]
+        )
 
     # ------------------------------------------------------------------
     # query distances (full BFS vs Algorithm 5)
@@ -239,13 +252,12 @@ class RefinementEngine:
     def run(self) -> Optional[BCCResult]:
         """Run the greedy refinement; return the best BCC snapshot or None."""
         t0 = time.perf_counter()
-        g0 = self.g.copy()
         best: Optional[Set[int]] = None
         best_qd = INF
         # Def.-7 connectivity is the feasibility criterion; individual
         # unsatisfied pairs are fine for m > 2 as long as a cross-group
         # path connects every label pair.
-        feasible = self._check_connectivity_labels()
+        feasible = self._check_feasible(recount=False)
         while self.stats["iterations"] < self.max_iterations:
             self.stats["iterations"] += 1
             if any(q not in self.g for q in self.queries):
@@ -292,7 +304,7 @@ class RefinementEngine:
         self.stats["total_time"] = time.perf_counter() - t0
         if best is None:
             return None
-        return BCCResult(g0.induced(best), self.queries, best_qd, dict(self.stats))
+        return BCCResult(self.g0.induced(best), self.queries, best_qd, dict(self.stats))
 
     def _recombine_qd(self) -> Dict[int, float]:
         """Max-over-queries combine of the maintained distance maps."""
@@ -306,20 +318,3 @@ class RefinementEngine:
                     qd[v] = d
         self.stats["qdist_time"] += time.perf_counter() - t
         return qd
-
-    def _check_connectivity_labels(self) -> bool:
-        if len(self.labels) == 2:
-            return bool(self.pairs) and self.pairs[0].satisfied
-        m = len(self.labels)
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ps in self.pairs:
-            if ps.satisfied:
-                parent[find(ps.ia)] = find(ps.ib)
-        return len({find(i) for i in range(m)}) == 1

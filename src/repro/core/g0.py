@@ -9,7 +9,10 @@ tests):
   candidate (community sized) is collected to the driver.
 * :func:`find_g0_local` — driver-local variant used by the per-query
   experiment loops, where thousands of G0 extractions would otherwise
-  each pay Spark job-scheduling latency (see DESIGN.md section 2).
+  each pay Spark job-scheduling latency (see DESIGN.md section 2). It
+  reads the graph's memoised per-label coreness (the BCindex's first
+  component): the k-core of a label group is ``{v : delta(v) >= k}``,
+  so each query's core component is one label-restricted BFS.
 
 Both generalize Algorithm 2 from 2 to m query labels: for m > 2 the
 feasibility check is cross-group connectivity (Def. 7) instead of a
@@ -17,8 +20,9 @@ single leader-pair check.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from pyspark.sql import functions as F
 
@@ -28,8 +32,10 @@ from ..graphlib.kcore import kcore as spark_kcore
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
-from ..local.kcore import kcore_vertices
-from .model import cross_bipartite
+from ..local.kcore import label_coreness
+from .model import cross_bipartite, groups_connected, leaders_clear
+
+PairChi = Dict[Tuple[int, int], Dict[int, int]]
 
 
 def _labels_of(queries: Sequence[int], label_lookup) -> Optional[List[object]]:
@@ -39,61 +45,75 @@ def _labels_of(queries: Sequence[int], label_lookup) -> Optional[List[object]]:
     return labs
 
 
-def _connectivity_ok(g0: LocalGraph, labels: Sequence[object], b: int) -> bool:
-    """Feasibility: leader-pair check (m=2) / cross-group connectivity (m>2)."""
+def _connectivity_ok(
+    g0: LocalGraph, labels: Sequence[object], b: int, chi: Optional[PairChi] = None
+) -> bool:
+    """Feasibility: leader-pair check (m=2) / cross-group connectivity (m>2).
+
+    The butterfly degrees counted per label pair ``(i, j)`` are stored
+    in ``chi`` when given.
+    """
     groups = [g0.vertices_with_label(lab) for lab in labels]
     m = len(labels)
-    if m == 2:
-        chi = butterfly_degrees(cross_bipartite(g0, groups[0], groups[1]))
-        return (
-            max((chi[v] for v in groups[0]), default=0) >= b
-            and max((chi[v] for v in groups[1]), default=0) >= b
-        )
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    links = []
     for i, j in combinations(range(m), 2):
         bp = cross_bipartite(g0, groups[i], groups[j])
-        if not any(bp.adj[v] for v in bp.adj):
+        if m > 2 and not any(bp.adj[v] for v in bp.adj):
             continue
-        chi = butterfly_degrees(bp)
-        if (
-            max((chi[v] for v in groups[i]), default=0) >= b
-            and max((chi[v] for v in groups[j]), default=0) >= b
-        ):
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(m)}) == 1
+        pair_chi = butterfly_degrees(bp)
+        if chi is not None:
+            chi[i, j] = pair_chi
+        if leaders_clear(pair_chi, groups[i], groups[j], b):
+            links.append((i, j))
+    return groups_connected(m, links)
+
+
+def _core_component(g: LocalGraph, core: Mapping[int, int], q: int, k: int) -> Set[int]:
+    """The connected component of ``q`` in the k-core of its label group:
+    BFS over same-label vertices with coreness >= k."""
+    labels = g.labels
+    lab = labels[q]
+    comp = {q}
+    frontier = deque([q])
+    while frontier:
+        v = frontier.popleft()
+        for u in g.adj[v]:
+            if u not in comp and labels[u] == lab and core[u] >= k:
+                comp.add(u)
+                frontier.append(u)
+    return comp
 
 
 def find_g0_local(
-    g: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int
+    g: LocalGraph,
+    queries: Sequence[int],
+    ks: Sequence[int],
+    b: int,
+    *,
+    chi: Optional[PairChi] = None,
 ) -> Optional[LocalGraph]:
     """Driver-local Algorithm 2 (generalized to m labels).
 
     Returns the candidate ``G0 = L ∪ B ∪ R`` (induced subgraph on the
     union of the per-label core components containing each query), or
-    ``None`` if any core/butterfly condition already fails.
+    ``None`` if any core/butterfly condition already fails. When ``chi``
+    is given, the feasibility check's butterfly degrees are stored in it
+    per label pair ``(i, j)`` (query order), for ``RefinementEngine`` to
+    reuse instead of counting them again.
     """
     if any(q not in g for q in queries):
         return None
     labs = _labels_of(queries, lambda q: g.label(q))
     if labs is None:
         return None
+    core = label_coreness(g)
+    if any(core[q] < k for q, k in zip(queries, ks)):
+        return None
     union: set = set()
-    for q, lab, k in zip(queries, labs, ks):
-        sub = g.homogeneous_induced(lab)
-        core_vs = kcore_vertices(sub, k)
-        if q not in core_vs:
-            return None
-        comp = sub.induced(core_vs).component_of(q)
-        union |= comp
+    for q, k in zip(queries, ks):
+        union |= _core_component(g, core, q, k)
     g0 = g.induced(union)
-    if not _connectivity_ok(g0, labs, b):
+    if not _connectivity_ok(g0, labs, b, chi):
         return None
     return g0
 

@@ -24,10 +24,10 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..local.graph import LocalGraph
-from ..local.kcore import coreness as local_coreness
+from ..local.kcore import label_coreness
 from .bcindex import BCIndex, build_bcindex_local
 from .engine import RefinementEngine
-from .g0 import find_g0_local
+from .g0 import PairChi, find_g0_local
 from .model import BCCResult
 
 
@@ -162,17 +162,18 @@ def l2p_bcc(
     cand = expand_candidate(idx, path_union, labels, eta)
     g_t = g.induced(cand)
 
-    # effective core parameters on the candidate (Algorithm 8 line 4)
-    eff_ks: List[int] = []
-    for q, lab, i in zip(queries, labels, range(len(queries))):
-        sub = g_t.homogeneous_induced(lab)
-        local_k = local_coreness(sub).get(q, 0)
-        eff_ks.append(local_k if ks is None else min(int(ks[i]), local_k))
+    # effective core parameters on the candidate (Algorithm 8 line 4);
+    # G0 below reads the same memoised coreness of G_t
+    core_t = label_coreness(g_t)
+    eff_ks = [core_t.get(q, 0) for q in queries]
+    if ks is not None:
+        eff_ks = [min(int(k), c) for k, c in zip(ks, eff_ks)]
 
-    g0 = find_g0_local(g_t, queries, eff_ks, b)
+    chi: PairChi = {}
+    g0 = find_g0_local(g_t, queries, eff_ks, b, chi=chi)
     if g0 is None:
         return None
-    engine = RefinementEngine(g0, queries, eff_ks, b, fast=True, rho=rho)
+    engine = RefinementEngine(g0, queries, eff_ks, b, fast=True, rho=rho, chi=chi)
     res = engine.run()
     if res is not None:
         res.stats["candidate_size"] = len(cand)

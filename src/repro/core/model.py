@@ -9,11 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..local.bfs import diameter as local_diameter
 from ..local.butterfly import Bipartite, butterfly_degrees
 from ..local.graph import LocalGraph
+
+
+class InvalidQuery(ValueError):
+    """A query the search cannot run: a vertex not in the graph, or two
+    query vertices with the same label."""
 
 
 @dataclass
@@ -49,14 +54,34 @@ def cross_bipartite(g: LocalGraph, va: Set[int], vb: Set[int]) -> Bipartite:
     return Bipartite(va, vb, edges)
 
 
-def pair_satisfied(g: LocalGraph, va: Set[int], vb: Set[int], b: int) -> bool:
-    """Condition 4 of Def. 4 for one group pair: a leader on each side
-    with butterfly degree >= b."""
-    bp = cross_bipartite(g, va, vb)
-    chi = butterfly_degrees(bp)
+def leaders_clear(chi: Mapping[int, int], va: Set[int], vb: Set[int], b: int) -> bool:
+    """Condition 4 of Def. 4 given the pair's butterfly degrees: a
+    leader on each side with butterfly degree >= b."""
     max_a = max((chi[v] for v in va), default=0)
     max_b = max((chi[v] for v in vb), default=0)
     return max_a >= b and max_b >= b
+
+
+def pair_satisfied(g: LocalGraph, va: Set[int], vb: Set[int], b: int) -> bool:
+    """Condition 4 of Def. 4 for one group pair of ``g``."""
+    return leaders_clear(butterfly_degrees(cross_bipartite(g, va, vb)), va, vb, b)
+
+
+def groups_connected(m: int, links: Iterable[Tuple[int, int]]) -> bool:
+    """Def. 7: the label graph on groups ``0..m-1`` with an edge per
+    satisfied pair in ``links`` is connected (union-find). For m = 2
+    this is just "the one pair is satisfied"."""
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in links:
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(m)}) == 1
 
 
 def is_bcc(
@@ -92,19 +117,11 @@ def is_bcc(
         sub = g.induced(vs)
         if any(len(sub.adj[v]) < k for v in sub.adj):
             return False
-    if len(labels) == 2:
-        return pair_satisfied(g, groups[0], groups[1], b)
-    # Def. 7/8: label graph H_m with an edge per satisfied pair must connect
-    m = len(labels)
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in combinations(range(m), 2):
-        if pair_satisfied(g, groups[i], groups[j], b):
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(m)}) == 1
+    return groups_connected(
+        len(labels),
+        (
+            (i, j)
+            for i, j in combinations(range(len(labels)), 2)
+            if pair_satisfied(g, groups[i], groups[j], b)
+        ),
+    )

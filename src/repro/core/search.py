@@ -17,28 +17,29 @@ from typing import Optional, Sequence, Union
 
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.graph import LocalGraph
-from ..local.kcore import coreness as local_coreness
+from ..local.kcore import label_coreness
 from .engine import RefinementEngine
-from .g0 import find_g0_local, find_g0_spark
-from .model import BCCResult
+from .g0 import PairChi, find_g0_local, find_g0_spark
+from .model import BCCResult, InvalidQuery
 
 GraphLike = Union[LocalGraph, SparkLabeledGraph]
 
 
 def default_ks(g: LocalGraph, queries: Sequence[int]) -> list[int]:
     """The paper's default parameters: k_i = coreness of q_i within its
-    label group (homogeneous subgraph)."""
-    ks = []
-    for q in queries:
-        sub = g.homogeneous_induced(g.label(q))
-        ks.append(local_coreness(sub).get(q, 0))
-    return ks
+    label group (homogeneous subgraph), read from the graph's memoised
+    per-label coreness."""
+    core = label_coreness(g)
+    missing = [q for q in queries if q not in core]
+    if missing:
+        raise InvalidQuery(f"query vertices {missing} are not in the graph")
+    return [core[q] for q in queries]
 
 
-def _find_g0(g: GraphLike, queries, ks, b) -> Optional[LocalGraph]:
+def _find_g0(g: GraphLike, queries, ks, b, chi: PairChi) -> Optional[LocalGraph]:
     if isinstance(g, SparkLabeledGraph):
         return find_g0_spark(g, queries, ks, b)
-    return find_g0_local(g, queries, ks, b)
+    return find_g0_local(g, queries, ks, b, chi=chi)
 
 
 def _search(
@@ -51,11 +52,12 @@ def _search(
     rho: int = 3,
 ) -> Optional[BCCResult]:
     t0 = time.perf_counter()
-    g0 = _find_g0(g, queries, ks, b)
+    chi: PairChi = {}
+    g0 = _find_g0(g, queries, ks, b, chi)
     g0_time = time.perf_counter() - t0
     if g0 is None:
         return None
-    engine = RefinementEngine(g0, queries, ks, b, fast=fast, rho=rho)
+    engine = RefinementEngine(g0, queries, ks, b, fast=fast, rho=rho, chi=chi)
     res = engine.run()
     if res is not None:
         res.stats["g0_time"] = g0_time

@@ -5,6 +5,6 @@ sized) and as independent references for the distributed tier.
 """
 from .graph import LocalGraph, canon  # noqa: F401
 from .bfs import bfs_distances, diameter, multi_source_bfs, query_distances  # noqa: F401
-from .kcore import coreness, kcore, kcore_vertices, max_coreness, peel_to_kcore  # noqa: F401
+from .kcore import coreness, kcore, kcore_vertices, label_coreness, max_coreness, peel_to_kcore  # noqa: F401
 from .butterfly import Bipartite, butterfly_degree_of, butterfly_degrees, total_butterflies  # noqa: F401
 from .truss import ktruss_subgraph, max_truss_containing, trussness  # noqa: F401

@@ -29,13 +29,16 @@ class LocalGraph:
 
     Vertices carry a label (any hashable; typically ``str``). Edges are
     undirected, simple (no self-loops, no parallels). All mutation goes
-    through :meth:`add_edge` / :meth:`remove_vertex` /
-    :meth:`remove_vertices` so ``adj`` and ``labels`` stay consistent.
+    through :meth:`add_vertex` / :meth:`add_edge` / :meth:`remove_edge` /
+    :meth:`remove_vertex` / :meth:`remove_vertices` so ``adj`` and
+    ``labels`` stay consistent and the per-label coreness memo (filled
+    by :func:`repro.local.kcore.label_coreness`) is dropped.
     """
 
     def __init__(self) -> None:
         self.adj: Dict[int, Set[int]] = {}
         self.labels: Dict[int, object] = {}
+        self.label_core_memo: Optional[Mapping[int, int]] = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -76,6 +79,7 @@ class LocalGraph:
         if v not in self.adj:
             self.adj[v] = set()
             self.labels[v] = label
+            self.label_core_memo = None
 
     def add_edge(self, u: int, v: int, lu: object = None, lv: object = None) -> None:
         if u == v:
@@ -86,6 +90,7 @@ class LocalGraph:
             self.add_vertex(v, lv)
         self.adj[u].add(v)
         self.adj[v].add(u)
+        self.label_core_memo = None
 
     # -- basic accessors ------------------------------------------------
     def __contains__(self, v: int) -> bool:
@@ -120,10 +125,18 @@ class LocalGraph:
         return {v for v in self.adj if self.labels[v] == lab}
 
     # -- mutation -------------------------------------------------------
+    def remove_edge(self, u: int, v: int) -> None:
+        """Drop the edge ``{u, v}`` if present."""
+        if v in self.adj.get(u, ()):
+            self.adj[u].discard(v)
+            self.adj[v].discard(u)
+        self.label_core_memo = None
+
     def remove_vertex(self, v: int) -> None:
         for u in self.adj.pop(v, ()):  # pragma: no branch
             self.adj[u].discard(v)
         self.labels.pop(v, None)
+        self.label_core_memo = None
 
     def remove_vertices(self, vs: Iterable[int]) -> None:
         for v in list(vs):

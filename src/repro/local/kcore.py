@@ -7,7 +7,8 @@ implementation for the distributed k-core in ``repro.graphlib.kcore``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Set
+from types import MappingProxyType
+from typing import Collection, Dict, Iterable, Mapping, Set
 
 from .graph import LocalGraph
 
@@ -58,31 +59,68 @@ def peel_to_kcore(g: LocalGraph, k: int, removed: Iterable[int]) -> Set[int]:
     return gone
 
 
+def _bucket_coreness(nbrs: Mapping[int, Collection[int]]) -> Dict[int, int]:
+    """Batagelj & Zaversnik (2003) O(n + m) core decomposition.
+
+    Vertices sit in an array sorted by current degree, with ``start[d]``
+    the first slot of degree ``d``. Processing the array in order peels
+    a minimum-degree vertex each step; a neighbour's degree drops by
+    swapping it to the front of its bucket and moving the bucket
+    boundary. The final degree of every vertex is its coreness.
+    """
+    deg = {v: len(ns) for v, ns in nbrs.items()}
+    start = [0] * (max(deg.values(), default=0) + 2)
+    for d in deg.values():
+        start[d + 1] += 1
+    for d in range(1, len(start)):
+        start[d] += start[d - 1]
+    fill = start[:]
+    vert = [0] * len(deg)
+    pos: Dict[int, int] = {}
+    for v, d in deg.items():
+        pos[v] = fill[d]
+        vert[fill[d]] = v
+        fill[d] += 1
+    for v in vert:
+        dv = deg[v]
+        for u in nbrs[v]:
+            du = deg[u]
+            if du > dv:
+                pu, pw = pos[u], start[du]
+                w = vert[pw]
+                if w != u:
+                    vert[pu], vert[pw] = w, u
+                    pos[w], pos[u] = pu, pw
+                start[du] += 1
+                deg[u] = du - 1
+    return deg
+
+
 def coreness(g: LocalGraph) -> Dict[int, int]:
-    """Full core decomposition by min-degree peeling (lazy heap).
+    """Full core decomposition (bucket peeling, O(n + m)).
 
     Returns ``delta[v]`` = the largest k such that v is in a k-core.
     """
-    import heapq
+    return _bucket_coreness(g.adj)
 
-    deg = {v: len(ns) for v, ns in g.adj.items()}
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    removed: Set[int] = set()
-    core: Dict[int, int] = {}
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue  # stale entry
-        k = max(k, d)
-        core[v] = k
-        removed.add(v)
-        for u in g.adj[v]:
-            if u not in removed:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return core
+
+def label_coreness(g: LocalGraph) -> Mapping[int, int]:
+    """Coreness of every vertex within its own label group.
+
+    One decomposition over the homogeneous edges only: the label groups
+    are disconnected from each other there, so this equals ``coreness``
+    of each ``g.homogeneous_induced(label)``, and the k-core of a group
+    is ``{v : delta[v] >= k}``. Memoised on ``g`` until its next
+    mutation; every caller shares the one read-only mapping.
+    """
+    if g.label_core_memo is None:
+        lab = g.labels
+        g.label_core_memo = MappingProxyType(
+            _bucket_coreness(
+                {v: [u for u in ns if lab[u] == lab[v]] for v, ns in g.adj.items()}
+            )
+        )
+    return g.label_core_memo
 
 
 def max_coreness(g: LocalGraph) -> int:

@@ -48,8 +48,7 @@ def trussness(g: LocalGraph) -> Dict[Edge, int]:
                 if f in alive:
                     sup[f] -= 1
                     heapq.heappush(heap, (sup[f], f))
-        work.adj[u].discard(v)
-        work.adj[v].discard(u)
+        work.remove_edge(u, v)
     return truss
 
 

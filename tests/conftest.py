@@ -3,11 +3,21 @@
 Session-scoped so the (expensive) Spark materialisation happens once:
 the Figure-3 paper graph and one small planted-community graph cover
 all distributed/local cross-checks.
+
+Every test that requests the ``spark`` fixture (directly or through
+another fixture) is marked ``spark``, so ``pytest -m "not spark"`` runs
+the driver-local tests alone.
 """
 import pytest
 
 from repro.graphlib.labeled import SparkLabeledGraph
 from repro.synth_graphs import figure3_graph, planted_bcc_graph
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if "spark" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.spark)
 
 
 @pytest.fixture(scope="session")

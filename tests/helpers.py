@@ -4,11 +4,14 @@ The brute-force implementations here are deliberately naive (subset
 enumeration, O(n^3) shortest paths, direct 2x2-biclique counting) and
 independent of the code under test — they are the ground truth the
 fast implementations are checked against on small inputs.
+``heap_coreness`` and ``peeled_g0`` keep the implementations that a
+faster path replaced, as differential references for it.
 """
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,6 +104,54 @@ def brute_coreness(g: LocalGraph) -> Dict[int, int]:
                 break
         out[v] = k
     return out
+
+
+def heap_coreness(g: LocalGraph) -> Dict[int, int]:
+    """Core decomposition by min-degree peeling with a lazy heap (the
+    implementation the bucket peeling replaced)."""
+    deg = {v: len(ns) for v, ns in g.adj.items()}
+    heap = [(d, v) for v, d in deg.items()]
+    heapq.heapify(heap)
+    removed: Set[int] = set()
+    core: Dict[int, int] = {}
+    k = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != deg[v]:
+            continue  # stale entry
+        k = max(k, d)
+        core[v] = k
+        removed.add(v)
+        for u in g.adj[v]:
+            if u not in removed:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return core
+
+
+def peeled_g0(
+    g: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int
+) -> Optional[LocalGraph]:
+    """Algorithm 2 by peeling each query's label group to its k-core and
+    keeping the query's component (the construction ``find_g0_local``
+    replaced with a coreness filter), then the same feasibility check."""
+    from repro.core.g0 import _connectivity_ok
+    from repro.local.kcore import kcore_vertices
+
+    if any(q not in g for q in queries):
+        return None
+    labs = [g.label(q) for q in queries]
+    if len(set(labs)) != len(labs):
+        return None
+    union: Set[int] = set()
+    for q, lab, k in zip(queries, labs, ks):
+        sub = g.homogeneous_induced(lab)
+        core_vs = kcore_vertices(sub, k)
+        if q not in core_vs:
+            return None
+        union |= sub.induced(core_vs).component_of(q)
+    g0 = g.induced(union)
+    return g0 if _connectivity_ok(g0, labs, b) else None
 
 
 def brute_edge_support(g: LocalGraph) -> Dict[Tuple[int, int], int]:

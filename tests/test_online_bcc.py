@@ -4,6 +4,7 @@ import pytest
 from repro.core import default_ks, is_bcc, online_bcc
 from repro.core.engine import RefinementEngine
 from repro.core.g0 import find_g0_local
+from repro.core.model import InvalidQuery
 from repro.local.bfs import diameter
 from repro.synth_graphs import FIG3_IDS, figure2_graph, figure3_graph, planted_bcc_graph
 
@@ -103,5 +104,5 @@ def test_diameter_shrinks_or_equal_vs_g0():
 def test_engine_rejects_same_label_queries():
     g = figure2_graph()
     g0 = g.induced({0, 1, 2, 3, 4, 5})
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidQuery):
         RefinementEngine(g0, [0, 1], [4, 4], 1)
