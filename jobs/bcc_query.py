@@ -1,9 +1,10 @@
 """End-to-end distributed BCC query demo.
 
-Runs one full BCC search where the G0 phase (label-group k-cores,
-connected components, butterfly counting) executes as Spark dataflow
-(Algorithm 2 distributed), then the refinement loop polishes the
-collected candidate. Prints the community and its stats.
+Runs one full BCC search where the G0 phase (per-label coreness filter
+and one BFS from the queries) executes as Spark dataflow (Algorithm 2
+distributed), then Algorithm 2's feasibility check and the refinement
+loop run on the collected candidate. Prints the community and its
+stats.
 
     spark-submit jobs/bcc_query.py [dataset] [community_id]
 """

@@ -10,9 +10,9 @@ Two components, per the paper:
   all O(labels²) pairs eagerly would be wasted work.
 
 ``build_bcindex_spark`` computes both components with the distributed
-tier (per-label coreness via the H-index fixpoint, butterflies via
-wedge self-joins); ``build_bcindex_local`` is the driver-side
-equivalent used by the per-query experiment loops.
+tier (per-label coreness via one H-index fixpoint over the homogeneous
+edges, butterflies via wedge self-joins); ``build_bcindex_local`` is the
+driver-side equivalent used by the per-query experiment loops.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from typing import Dict, FrozenSet, Mapping, Optional
 from pyspark.sql import functions as F
 
 from ..graphlib.butterfly import butterfly_degrees as spark_butterfly_degrees
-from ..graphlib.kcore import coreness as spark_coreness
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
@@ -71,17 +70,17 @@ def build_bcindex_local(g: LocalGraph) -> BCIndex:
 
 
 def build_bcindex_spark(sg: SparkLabeledGraph) -> BCIndex:
-    """Distributed BCindex: coreness per label group via the H-index
-    fixpoint; chi per label pair lazily via distributed wedge joins.
+    """Distributed BCindex: coreness per label group from the graph's
+    memoised ``label_coreness()``; chi per label pair lazily via
+    distributed wedge joins.
 
     The collected index (a dict per vertex) is what query processing
     consults in O(1), per the paper.
     """
-    labels = [r["label"] for r in sg.vertices.select("label").distinct().collect()]
-    core: Dict[int, int] = {}
-    for lab in labels:
-        rows = spark_coreness(sg.label_group(lab)).collect()
-        core.update({int(r["id"]): int(r["coreness"]) for r in rows})
+    core = {
+        int(r["id"]): int(r["coreness"])
+        for r in sg.label_coreness().select("id", "coreness").collect()
+    }
     idx = BCIndex(sg.to_local(), core)
     idx._spark = sg
     return idx

@@ -1,34 +1,34 @@
 """Algorithm 2 — finding the maximal candidate BCC ``G0``.
 
 Two interchangeable engines with identical semantics (cross-checked in
-tests):
+tests). Both read the graph's memoised per-label coreness (the
+BCindex's first component): the k-core of a label group is
+``{v : delta(v) >= k}``, so each query's core component is a coreness
+filter plus one BFS over the query's own label.
 
-* :func:`find_g0_spark` — the distributed implementation: per-label
-  k-core peeling, connected components, and butterfly counting all run
-  as DataFrame dataflow over the full graph; only the resulting
-  candidate (community sized) is collected to the driver.
+* :func:`find_g0_spark` — the distributed implementation: the filter
+  and one multi-source BFS from all queries run as DataFrame dataflow
+  over the full graph; only the resulting candidate (community sized)
+  is collected to the driver.
 * :func:`find_g0_local` — driver-local variant used by the per-query
   experiment loops, where thousands of G0 extractions would otherwise
-  each pay Spark job-scheduling latency (see DESIGN.md section 2). It
-  reads the graph's memoised per-label coreness (the BCindex's first
-  component): the k-core of a label group is ``{v : delta(v) >= k}``,
-  so each query's core component is one label-restricted BFS.
+  each pay Spark job-scheduling latency (see DESIGN.md section 2).
 
-Both generalize Algorithm 2 from 2 to m query labels: for m > 2 the
-feasibility check is cross-group connectivity (Def. 7) instead of a
-single leader-pair check.
+Both end in the same driver-side feasibility check, which generalizes
+Algorithm 2 from 2 to m query labels: for m > 2 it is cross-group
+connectivity (Def. 7) instead of a single leader-pair check.
 """
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from pyspark.sql import functions as F
 
-from ..graphlib.butterfly import butterfly_degrees as spark_butterfly_degrees
-from ..graphlib.components import component_of
-from ..graphlib.kcore import kcore as spark_kcore
+from ..graphlib.bfs import bfs_distances
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
@@ -119,49 +119,43 @@ def find_g0_local(
 
 
 def find_g0_spark(
-    sg: SparkLabeledGraph, queries: Sequence[int], ks: Sequence[int], b: int
+    sg: SparkLabeledGraph,
+    queries: Sequence[int],
+    ks: Sequence[int],
+    b: int,
+    *,
+    chi: Optional[PairChi] = None,
 ) -> Optional[LocalGraph]:
-    """Distributed Algorithm 2: the heavy passes stay in Spark.
+    """Distributed Algorithm 2: the graph-sized passes stay in Spark.
 
-    Per query label: induce the homogeneous subgraph, peel to the
-    k_i-core, keep the connected component containing the query. Then
-    collect the union, count butterflies on the cross bipartite graph
-    distributed, and check feasibility. The returned candidate is the
-    driver-local ``G0``.
+    Keeps the vertices with ``label = l_i`` and per-label coreness
+    ``>= k_i`` for some query ``q_i`` (``sg.label_coreness()``), then
+    runs one BFS from all queries over the homogeneous edges among them.
+    The labels differ, so the reached set is the union of the per-query
+    core components. It is collected, and the same feasibility check as
+    :func:`find_g0_local` runs on the driver (storing χ in ``chi``).
     """
-    vrows = sg.vertices.where(F.col("id").isin([int(q) for q in queries])).collect()
-    lab_by_id = {int(r["id"]): r["label"] for r in vrows}
-    if len(lab_by_id) != len(queries):
+    core = sg.label_coreness()
+    rows = core.where(F.col("id").isin([int(q) for q in queries])).collect()
+    by_id = {int(r["id"]): r for r in rows}
+    if len(by_id) != len(queries):
         return None
-    labs = _labels_of(queries, lambda q: lab_by_id.get(int(q)))
+    labs = _labels_of(queries, lambda q: by_id[int(q)]["label"])
     if labs is None:
         return None
-
-    keep_frames = []
-    for q, lab, k in zip(queries, labs, ks):
-        group = sg.label_group(lab)
-        core = spark_kcore(group, k)
-        if core.vertices.where(F.col("id") == int(q)).isEmpty():
-            return None
-        keep_frames.append(component_of(core, int(q)))
-    union_ids = keep_frames[0]
-    for f in keep_frames[1:]:
-        union_ids = union_ids.unionAll(f)
-    g0_spark = sg.induced(union_ids)
-
-    if len(labs) == 2:
-        # distributed butterfly feasibility before collecting
-        ce = g0_spark.cross_edges(labs[0], labs[1])
-        chi = spark_butterfly_degrees(ce)
-        lefts = ce.select(F.col("left").alias("id")).distinct()
-        rights = ce.select(F.col("right").alias("id")).distinct()
-        ml = chi.join(lefts, "id", "semi").agg(F.max("chi")).collect()[0][0]
-        mr = chi.join(rights, "id", "semi").agg(F.max("chi")).collect()[0][0]
-        if (ml or 0) < b or (mr or 0) < b:
-            return None
-        return g0_spark.to_local()
-
-    g0 = g0_spark.to_local()
-    if not _connectivity_ok(g0, labs, b):
+    if any(by_id[int(q)]["coreness"] < k for q, k in zip(queries, ks)):
+        return None
+    keep = core.where(
+        reduce(
+            or_,
+            [
+                (F.col("label") == lab) & (F.col("coreness") >= int(k))
+                for lab, k in zip(labs, ks)
+            ],
+        )
+    )
+    reached = bfs_distances(sg.induced(keep).homogeneous(), queries)
+    g0 = sg.induced(reached).to_local()
+    if not _connectivity_ok(g0, labs, b, chi):
         return None
     return g0

@@ -37,9 +37,8 @@ def default_ks(g: LocalGraph, queries: Sequence[int]) -> list[int]:
 
 
 def _find_g0(g: GraphLike, queries, ks, b, chi: PairChi) -> Optional[LocalGraph]:
-    if isinstance(g, SparkLabeledGraph):
-        return find_g0_spark(g, queries, ks, b)
-    return find_g0_local(g, queries, ks, b, chi=chi)
+    find = find_g0_spark if isinstance(g, SparkLabeledGraph) else find_g0_local
+    return find(g, queries, ks, b, chi=chi)
 
 
 def _search(

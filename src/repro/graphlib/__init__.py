@@ -1,13 +1,12 @@
 """Distributed graph tier: labeled graphs and bulk algorithms on Spark.
 
 DataFrame/Catalyst implementations of the primitives the BCC search
-needs at whole-graph scale: k-core peeling, coreness decomposition
-(H-index fixpoint), BFS, connected components, bipartite butterfly
-counting, and dataset statistics.
+needs at whole-graph scale: coreness decomposition (H-index fixpoint,
+memoised per label group on each ``SparkLabeledGraph``), BFS, bipartite
+butterfly counting, and dataset statistics.
 """
 from .labeled import SparkLabeledGraph  # noqa: F401
-from .kcore import coreness, kcore, max_coreness  # noqa: F401
+from .kcore import coreness, max_coreness  # noqa: F401
 from .bfs import bfs_distances, query_distances  # noqa: F401
-from .components import component_of, connected_components  # noqa: F401
-from .butterfly import butterfly_degrees, max_chi_per_side  # noqa: F401
+from .butterfly import butterfly_degrees  # noqa: F401
 from .stats import GraphStats, graph_stats  # noqa: F401

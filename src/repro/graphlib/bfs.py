@@ -1,12 +1,14 @@
 """Distributed BFS over the edge relation (iterative frontier joins).
 
-Backs query-distance computation on the full graph (Algorithm 1 phase 1)
-and the d_max / diameter-style statistics. Each round expands the
-frontier by one hop with a join + anti-join; rounds = eccentricity of
-the source set.
+Backs the Spark G0 component search (Algorithm 2: one multi-source BFS
+over the query labels' cores) and query-distance computation on the
+full graph (Algorithm 1 phase 1). Each round expands the frontier by
+one hop with a join + anti-join; rounds = eccentricity of the source
+set.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable
 
 from pyspark.sql import DataFrame, SparkSession
@@ -22,35 +24,40 @@ def bfs_distances(
 
     Unreachable vertices are absent from the result (join with the
     vertex frame and coalesce if you need explicit infinities).
+
+    Each round is one action: counting the new frontier both
+    materialises it (a lazy ``localCheckpoint``) and decides
+    termination. In an undirected graph the neighbours of layer d lie in
+    layers d-1, d and d+1, so the next layer is the frontier's
+    neighbourhood minus the last two layers, and the layers are unioned
+    once at the end.
     """
     spark = SparkSession.getActiveSession()
     src_list = [(int(s),) for s in sources]
     if not src_list:
         raise ValueError("bfs_distances needs at least one source")
-    adj = g.symmetric_edges().localCheckpoint(eager=True)
+    adj = g.symmetric_edges().localCheckpoint(eager=False)
     frontier = (
         spark.createDataFrame(src_list, "id long")
         .join(g.vertices.select("id"), "id", "semi")
         .distinct()
-        .localCheckpoint(eager=True)
+        .localCheckpoint(eager=False)
     )
-    dist = frontier.select("id", F.lit(0).alias("dist")).localCheckpoint(eager=True)
-    d = 0
-    while not frontier.isEmpty():
-        d += 1
-        if d > max_rounds:
-            raise RuntimeError("bfs did not terminate")
-        frontier = (
+    layers = [frontier.select("id", F.lit(0).alias("dist"))]
+    prev = frontier.limit(0)
+    for d in range(1, max_rounds + 1):
+        nxt = (
             adj.join(frontier, "id", "semi")
             .select(F.col("nbr").alias("id"))
             .distinct()
-            .join(dist, "id", "anti")
-            .localCheckpoint(eager=True)
+            .join(frontier.unionAll(prev), "id", "anti")
+            .localCheckpoint(eager=False)
         )
-        dist = dist.unionAll(
-            frontier.select("id", F.lit(d).alias("dist"))
-        ).localCheckpoint(eager=True)
-    return dist
+        if nxt.count() == 0:
+            return reduce(DataFrame.unionAll, layers)
+        layers.append(nxt.select("id", F.lit(d).alias("dist")))
+        prev, frontier = frontier, nxt
+    raise RuntimeError("bfs did not terminate")
 
 
 def query_distances(g: SparkLabeledGraph, queries: Iterable[int]) -> DataFrame:

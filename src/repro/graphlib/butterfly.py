@@ -53,16 +53,3 @@ def butterfly_degrees(cross_edges: DataFrame) -> DataFrame:
         .select("id", F.coalesce("chi", F.lit(0)).alias("chi"))
     )
 
-
-def max_chi_per_side(cross_edges: DataFrame) -> tuple[int, int]:
-    """(max_l, max_r): the maximum butterfly degree on each side.
-
-    This is the Algorithm-2 feasibility check ``max_l >= b and
-    max_r >= b``. Returns (0, 0) for an empty bipartite graph.
-    """
-    chi = butterfly_degrees(cross_edges)
-    lefts = cross_edges.select(F.col("left").alias("id")).distinct()
-    rights = cross_edges.select(F.col("right").alias("id")).distinct()
-    ml = chi.join(lefts, "id", "semi").agg(F.max("chi").alias("m")).collect()[0]["m"]
-    mr = chi.join(rights, "id", "semi").agg(F.max("chi").alias("m")).collect()[0]["m"]
-    return (int(ml) if ml is not None else 0, int(mr) if mr is not None else 0)

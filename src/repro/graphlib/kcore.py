@@ -1,47 +1,35 @@
-"""Distributed k-core extraction and coreness decomposition.
+"""Distributed coreness decomposition.
 
-Two algorithms, both pure DataFrame dataflow:
-
-* :func:`kcore` — iterative peeling: repeatedly drop vertices with
-  degree < k until a fixpoint. Rounds = peeling depth (small for
-  community graphs); each round is a groupBy + anti-join, with
-  ``localCheckpoint`` to cut lineage.
-
-* :func:`coreness` — the distributed H-index fixpoint (Lü et al.,
-  "Vital nodes identification in complex networks"): initialise each
-  vertex's estimate to its degree, then repeatedly replace it with the
-  H-index of its neighbours' estimates. The sequence is monotonically
-  non-increasing and converges to the coreness; rounds are bounded by a
-  few tens on real graphs regardless of k_max. The H-index is computed
-  with a window rank: ``h(v) = max{r : r-th largest neighbour estimate
-  >= r}``.
+:func:`coreness` is the distributed H-index fixpoint (Lü et al.,
+"Vital nodes identification in complex networks"): initialise each
+vertex's estimate to its degree, then repeatedly replace it with the
+H-index of its neighbours' estimates. The sequence is monotonically
+non-increasing and converges to the coreness; rounds are bounded by a
+few tens on real graphs regardless of k_max. The H-index is computed
+with a window rank: ``h(v) = max{r : r-th largest neighbour estimate
+>= r}``. The k-core of a graph is then the filter ``coreness >= k``.
 """
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .labeled import SparkLabeledGraph
-
-
-def kcore(g: SparkLabeledGraph, k: int, max_rounds: int = 1000) -> SparkLabeledGraph:
-    """The maximal k-core of ``g`` (possibly empty) as an induced subgraph."""
-    cur = g.checkpointed()
-    for _ in range(max_rounds):
-        deg = cur.degrees()
-        bad = deg.where(F.col("degree") < k)
-        if bad.isEmpty():
-            return cur
-        keep = deg.where(F.col("degree") >= k).select("id")
-        cur = cur.induced(keep).checkpointed()
-    raise RuntimeError(f"kcore did not converge in {max_rounds} rounds")
+if TYPE_CHECKING:
+    from .labeled import SparkLabeledGraph
 
 
 def coreness(g: SparkLabeledGraph, max_rounds: int = 200) -> DataFrame:
-    """(id, coreness) for every vertex via the H-index fixpoint."""
-    adj = g.symmetric_edges().localCheckpoint(eager=True)
+    """(id, coreness) for every vertex via the H-index fixpoint.
+
+    Each round is one action: counting the changed estimates both
+    materialises the round's (lazily checkpointed) estimates and decides
+    convergence.
+    """
+    adj = g.symmetric_edges().localCheckpoint(eager=False)
     est = g.degrees().select("id", F.col("degree").alias("est"))
-    est = est.localCheckpoint(eager=True)
+    est = est.localCheckpoint(eager=False)
     w = Window.partitionBy("id").orderBy(F.desc("nbr_est"), F.asc("nbr"))
     for _ in range(max_rounds):
         nbr_est = adj.join(
@@ -54,21 +42,18 @@ def coreness(g: SparkLabeledGraph, max_rounds: int = 200) -> DataFrame:
             .groupBy("id")
             .agg(F.max("rn").alias("h"))
         )
-        new_est = (
+        step = (
             est.join(h, "id", "left")
             .select(
                 "id",
                 F.least(F.col("est"), F.coalesce(F.col("h"), F.lit(0))).alias("est"),
+                F.col("est").alias("old"),
             )
-            .localCheckpoint(eager=True)
+            .localCheckpoint(eager=False)
         )
-        changed = (
-            new_est.join(est.withColumnRenamed("est", "old"), "id")
-            .where(F.col("est") != F.col("old"))
-            .isEmpty()
-        )
-        est = new_est
-        if changed:
+        changed = step.where(F.col("est") != F.col("old")).count()
+        est = step.select("id", "est")
+        if changed == 0:
             return est.select("id", F.col("est").alias("coreness"))
     raise RuntimeError(f"coreness did not converge in {max_rounds} rounds")
 

@@ -1,8 +1,9 @@
 """Distributed labeled graph over Spark DataFrames.
 
 ``SparkLabeledGraph`` is the bulk representation used for the global
-phases of BCC search: per-label k-core extraction, butterfly counting,
-BCindex construction, and dataset statistics. Vertices are ``(id
+phases of BCC search: per-label coreness (the BCindex's first
+component, memoised per graph), butterfly counting, BCindex
+construction, and dataset statistics. Vertices are ``(id
 BIGINT, label STRING)``; edges are canonical undirected ``(src, dst)``
 with ``src < dst``, deduplicated, self-loop free.
 
@@ -12,13 +13,14 @@ semi-joins.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..local.graph import LocalGraph
+from .kcore import coreness
 
 
 class SparkLabeledGraph:
@@ -47,6 +49,7 @@ class SparkLabeledGraph:
             .join(ids.withColumnRenamed("id", "dst"), "dst", "semi")
             .select("src", "dst")
         )
+        self._label_core: Optional[DataFrame] = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -60,18 +63,18 @@ class SparkLabeledGraph:
         vdf, edf = g.to_pandas()
         return cls.from_pandas(spark, vdf, edf)
 
+    @classmethod
+    def _of(cls, vertices: DataFrame, edges: DataFrame) -> "SparkLabeledGraph":
+        """A graph over frames that are already canonical, with no memo."""
+        g = cls.__new__(cls)
+        g.vertices, g.edges, g._label_core = vertices, edges, None
+        return g
+
     # -- persistence helpers -------------------------------------------
     def cache(self) -> "SparkLabeledGraph":
         self.vertices = self.vertices.cache()
         self.edges = self.edges.cache()
         return self
-
-    def checkpointed(self) -> "SparkLabeledGraph":
-        """Materialise both frames and cut lineage (for iterative loops)."""
-        g = SparkLabeledGraph.__new__(SparkLabeledGraph)
-        g.vertices = self.vertices.localCheckpoint(eager=True)
-        g.edges = self.edges.localCheckpoint(eager=True)
-        return g
 
     # -- relational views ----------------------------------------------
     def symmetric_edges(self) -> DataFrame:
@@ -94,17 +97,48 @@ class SparkLabeledGraph:
     def induced(self, keep_ids: DataFrame) -> "SparkLabeledGraph":
         """Induced subgraph on the ``id`` column of ``keep_ids``."""
         ids = keep_ids.select("id").distinct()
-        g = SparkLabeledGraph.__new__(SparkLabeledGraph)
-        g.vertices = self.vertices.join(ids, "id", "semi")
-        g.edges = (
+        return SparkLabeledGraph._of(
+            self.vertices.join(ids, "id", "semi"),
             self.edges.join(ids.withColumnRenamed("id", "src"), "src", "semi")
-            .join(ids.withColumnRenamed("id", "dst"), "dst", "semi")
+            .join(ids.withColumnRenamed("id", "dst"), "dst", "semi"),
         )
-        return g
 
     def label_group(self, label: str) -> "SparkLabeledGraph":
         """Homogeneous subgraph induced by one label (homogeneous edges only)."""
         return self.induced(self.vertices.where(F.col("label") == label))
+
+    def homogeneous(self) -> "SparkLabeledGraph":
+        """All vertices, with only the edges whose endpoints share a label.
+
+        Label groups are disconnected from each other in this graph, so
+        one pass of a graph algorithm over it covers every label group.
+        """
+        v = self.vertices
+        src = v.select(F.col("id").alias("src"), F.col("label").alias("ls"))
+        dst = v.select(F.col("id").alias("dst"), F.col("label").alias("ld"))
+        e = (
+            self.edges.join(src, "src")
+            .join(dst, "dst")
+            .where(F.col("ls") == F.col("ld"))
+            .select("src", "dst")
+        )
+        return SparkLabeledGraph._of(v, e)
+
+    def label_coreness(self) -> DataFrame:
+        """(id, label, coreness): each vertex's coreness within its own
+        label group, the BCindex's first component.
+
+        One H-index fixpoint over :meth:`homogeneous`, run on first use
+        and kept (materialised) on this instance; derived graphs
+        (``induced``, ``label_group``, ``homogeneous``) start without it.
+        """
+        if self._label_core is None:
+            self._label_core = (
+                self.vertices.join(coreness(self.homogeneous()), "id")
+                .select("id", "label", "coreness")
+                .localCheckpoint(eager=True)
+            )
+        return self._label_core
 
     def cross_edges(self, label_a: str, label_b: str) -> DataFrame:
         """Heterogeneous edges between two label groups as (left, right).

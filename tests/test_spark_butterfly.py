@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graphlib.butterfly import butterfly_degrees, max_chi_per_side
+from repro.graphlib.butterfly import butterfly_degrees
 from repro.local.butterfly import Bipartite
 from repro.local.butterfly import butterfly_degrees as local_butterfly
 from repro.oracle import assert_equivalent
@@ -78,12 +78,6 @@ def test_cross_edges_of_fig3(fig3_spark, fig3_local):
         assert c == ref[v]
 
 
-def test_max_chi_per_side_fig3(fig3_spark):
-    ml, mr = max_chi_per_side(fig3_spark.cross_edges("A", "B"))
-    assert (ml, mr) == (6, 3)  # Example 5: chi(v1)=6, chi(u2)=3
-
-
 def test_empty_bipartite(spark):
     df = spark.createDataFrame([], "left long, right long")
     assert butterfly_degrees(df).count() == 0
-    assert max_chi_per_side(df) == (0, 0)

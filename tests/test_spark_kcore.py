@@ -1,28 +1,9 @@
-"""Distributed k-core and coreness vs the local reference."""
+"""Distributed coreness vs the local reference."""
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graphlib.kcore import coreness, kcore, max_coreness
+from repro.graphlib.kcore import coreness, max_coreness
 from repro.local.kcore import coreness as local_coreness
-from repro.local.kcore import kcore_vertices
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_kcore_matches_local(fig3_spark, fig3_local, k):
-    sub = kcore(fig3_spark, k)
-    got = {r["id"] for r in sub.vertices.collect()}
-    assert got == kcore_vertices(fig3_local, k)
-
-
-def test_kcore_too_large_is_empty(fig3_spark):
-    sub = kcore(fig3_spark, 50)
-    assert sub.num_vertices() == 0
-
-
-def test_kcore_min_degree_property(planted_small_spark):
-    sub = kcore(planted_small_spark, 3)
-    degs = [r["degree"] for r in sub.degrees().collect()]
-    assert all(d >= 3 for d in degs)
+from repro.local.kcore import label_coreness
 
 
 def test_coreness_matches_local_fig3(fig3_spark, fig3_local):
@@ -39,9 +20,10 @@ def test_max_coreness(fig3_spark, fig3_local):
     assert max_coreness(fig3_spark) == max(local_coreness(fig3_local).values())
 
 
-def test_kcore_of_label_group(planted_small_spark, planted_small_local):
-    lab = sorted(planted_small_local.label_set())[0]
-    sub = kcore(planted_small_spark.label_group(lab), 2)
-    got = {r["id"] for r in sub.vertices.collect()}
-    loc = kcore_vertices(planted_small_local.homogeneous_induced(lab), 2)
-    assert got == loc
+@pytest.mark.parametrize("graph", ["fig3", "planted_small"])
+def test_label_coreness_matches_local(request, graph):
+    sg = request.getfixturevalue(f"{graph}_spark")
+    g = request.getfixturevalue(f"{graph}_local")
+    rows = sg.label_coreness().collect()
+    assert {r["id"]: r["coreness"] for r in rows} == dict(label_coreness(g))
+    assert {r["id"]: r["label"] for r in rows} == g.labels
