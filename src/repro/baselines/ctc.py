@@ -7,19 +7,22 @@ maintaining the k-truss, returning the snapshot with the smallest query
 distance — the same greedy framework as Algorithm 1, with the k-truss
 playing the role of the butterfly-core.
 
-We implement the model exactly (maximal k + greedy peeling with truss
-maintenance by recomputation); CTC's truss index and batch heuristics
-are unnecessary at candidate scale and do not affect the returned
-community, which is what the F1 comparison measures.
+We implement the model exactly: maximal k, then the shared greedy loop
+:func:`~repro.core.engine.greedy_peel` with Online-mode query
+distances and a deletion step that maintains the truss by
+recomputation. CTC's truss index and batch heuristics are unnecessary
+at candidate scale and do not affect the returned community, which is
+what the F1 comparison measures.
 """
 from __future__ import annotations
 
 import time
 from typing import Optional, Sequence
 
-from ..local.bfs import INF, query_distances
+from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.truss import max_truss_containing, trussness
+from ..core.engine import greedy_peel
 from ..core.model import BCCResult
 
 
@@ -41,28 +44,16 @@ def ctc(g: LocalGraph, queries: Sequence[int], max_iterations: int = 10_000) -> 
     k, cur = max_truss_containing(g, set(queries))
     if len(cur) == 0:
         return None
-    best = None
-    best_qd = INF
-    iters = 0
-    while iters < max_iterations:
-        iters += 1
-        if not cur.connected(queries):
-            break
-        comp = cur.component_of(queries[0])
-        if len(comp) < len(cur):
-            cur.remove_vertices(cur.vertices - comp)
-            _maintain_truss(cur, k)
-            continue
-        qd = query_distances(cur, queries)
-        dmax = max(qd.values(), default=0.0)
-        if dmax < best_qd:
-            best_qd = dmax
-            best = set(cur.vertices)
-        S = {v for v, d in qd.items() if d >= dmax} - set(queries)
-        if not S or dmax <= 0:
-            break
+
+    def delete(S):
         cur.remove_vertices(S)
         _maintain_truss(cur, k)
+        return True
+
+    best, best_qd, iters = greedy_peel(
+        cur, queries, lambda: query_distances(cur, queries), delete,
+        max_iterations=max_iterations,
+    )
     if best is None:
         return None
     res = BCCResult(g.induced(best), queries, best_qd)

@@ -5,7 +5,9 @@ parameter k it searches a *small* connected k-core containing the query
 vertices. We implement the model semantics as a progressive shrink: take
 the connected k-core component containing the queries (the maximal
 answer), then greedily peel the farthest vertices while maintaining the
-k-core, keeping the smallest feasible snapshot. PSA's lower/upper
+k-core, keeping the smallest feasible snapshot (the shared loop
+:func:`~repro.core.engine.greedy_peel` with Online-mode query
+distances). PSA's lower/upper
 bounding machinery accelerates this search but returns the same family
 of answers; at candidate scale the direct shrink is exact enough for
 the quality comparison.
@@ -18,9 +20,10 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from ..local.bfs import INF, query_distances
+from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.kcore import coreness, kcore_vertices, peel_to_kcore
+from ..core.engine import greedy_peel
 from ..core.model import BCCResult
 
 
@@ -40,28 +43,16 @@ def psa(
     if not all(q in core_vs for q in queries):
         return None
     cur = g.induced(core_vs)
-    best = None
-    best_qd = INF
-    iters = 0
-    while iters < max_iterations:
-        iters += 1
-        if not cur.connected(queries):
-            break
-        comp = cur.component_of(queries[0])
-        if len(comp) < len(cur):
-            cur.remove_vertices(cur.vertices - comp)
-            peel_to_kcore(cur, k, ())
-            continue
-        qd = query_distances(cur, queries)
-        dmax = max(qd.values(), default=0.0)
-        if dmax < best_qd:
-            best_qd = dmax
-            best = set(cur.vertices)
-        S = {v for v, d in qd.items() if d >= dmax} - set(queries)
-        if not S or dmax <= 0:
-            break
+
+    def delete(S):
         cur.remove_vertices(S)
-        peel_to_kcore(cur, k, S)
+        peel_to_kcore(cur, k)
+        return True
+
+    best, best_qd, iters = greedy_peel(
+        cur, queries, lambda: query_distances(cur, queries), delete,
+        max_iterations=max_iterations,
+    )
     if best is None:
         return None
     res = BCCResult(g.induced(best), queries, best_qd)

@@ -16,7 +16,8 @@ distance are removed per iteration), as all methods do in the paper's
 experiments. For m > 2 query labels the engine maintains one
 :class:`PairState` per label pair with cross edges and checks Def.-7
 cross-group connectivity instead of the single leader-pair condition
-(Algorithm 9).
+(Algorithm 9). The loop itself is :func:`greedy_peel`, which the CTC
+and PSA baselines share with their own deletion step.
 
 Instrumentation (``BCCResult.stats``) backs Table 4: ``qdist_time``,
 ``leader_time`` (Alg 6+7 / full-recount time), ``butterfly_counting``
@@ -28,7 +29,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..local.bfs import INF, bfs_distances
 from ..local.butterfly import Bipartite, butterfly_degrees
@@ -36,6 +37,52 @@ from ..local.graph import LocalGraph
 from .fastdist import fast_update
 from .leader import identify_leader, update_leader_on_delete
 from .model import BCCResult, InvalidQuery, groups_connected, leaders_clear
+
+
+def greedy_peel(
+    g: LocalGraph,
+    queries: Sequence[int],
+    distances: Callable[[], Dict[int, float]],
+    delete: Callable[[Set[int]], bool],
+    *,
+    feasible: bool = True,
+    max_iterations: int,
+) -> Tuple[Optional[Set[int]], float, int]:
+    """Algorithm 1's greedy loop, shared by BCC, CTC and PSA.
+
+    Each iteration keeps the queries' component of ``g`` (stopping if a
+    query is missing or cut off), then records ``g`` as the best snapshot
+    if it is feasible and its query distance (``distances()``, Def. 5) is
+    the smallest so far, and bulk-deletes the farthest layer. ``delete(S)``
+    removes ``S`` from ``g``, restores the model's invariant (butterfly-
+    core, k-truss or k-core) and returns whether ``g`` is still feasible;
+    the loop stops when it is not. ``feasible`` is the initial state.
+
+    Returns ``(best_vertices or None, best_qd, iterations)``.
+    """
+    best: Optional[Set[int]] = None
+    best_qd = INF
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        comp = g.component_of(queries[0])
+        if any(q not in comp for q in queries):
+            break
+        if len(comp) < len(g):
+            S = g.vertices - comp
+        else:
+            qd = distances()
+            dmax = max(qd.values(), default=0.0)
+            if feasible and dmax < best_qd:
+                best_qd = dmax
+                best = set(g.vertices)
+            S = {v for v, d in qd.items() if d >= dmax} - set(queries)
+            if not S or dmax <= 0:
+                break
+        feasible = delete(S)
+        if not feasible:
+            break
+    return best, best_qd, iterations
 
 
 @dataclass
@@ -242,9 +289,24 @@ class RefinementEngine:
         self.stats["qdist_time"] += time.perf_counter() - t
         return self._recombine_qd()
 
-    def _fast_update(self, q: int, deleted: List[int], old: Dict[int, float]) -> None:
-        """Algorithm 5: partial BFS re-labeling after a deletion batch."""
-        fast_update(self.g, self.dist[q], deleted, old)
+    def _distances(self) -> Dict[int, float]:
+        """Combined query distances: maintained by Algorithm 5 in LP mode
+        once the first full BFS has run, a full BFS otherwise."""
+        if self.fast and self.dist:
+            return self._recombine_qd()
+        return self._query_distances_full()
+
+    def _delete(self, S: Set[int]) -> bool:
+        """Algorithm 4 peeling after deleting ``S``, then (LP mode)
+        Algorithm 5 on every maintained distance map; returns whether
+        the graph is still feasible."""
+        gone = self._delete_and_maintain(S)
+        if self.fast and self.dist:
+            t = time.perf_counter()
+            for q in self.queries:
+                fast_update(self.g, self.dist[q], gone)
+            self.stats["qdist_time"] += time.perf_counter() - t
+        return self._check_feasible()
 
     # ------------------------------------------------------------------
     # main loop (Algorithm 1 / 9)
@@ -252,55 +314,17 @@ class RefinementEngine:
     def run(self) -> Optional[BCCResult]:
         """Run the greedy refinement; return the best BCC snapshot or None."""
         t0 = time.perf_counter()
-        best: Optional[Set[int]] = None
-        best_qd = INF
         # Def.-7 connectivity is the feasibility criterion; individual
         # unsatisfied pairs are fine for m > 2 as long as a cross-group
         # path connects every label pair.
-        feasible = self._check_feasible(recount=False)
-        while self.stats["iterations"] < self.max_iterations:
-            self.stats["iterations"] += 1
-            if any(q not in self.g for q in self.queries):
-                break
-            comp = self.g.component_of(self.queries[0])
-            if any(q not in comp for q in self.queries[1:]):
-                break
-            if len(comp) < len(self.g):
-                S = self.g.vertices - comp
-                old_dists = {q: dict(self.dist[q]) for q in self.queries} if self.dist else None
-                gone = self._delete_and_maintain(S)
-                if self.fast and self.dist:
-                    t = time.perf_counter()
-                    for q in self.queries:
-                        self._fast_update(q, gone, old_dists[q])
-                    self.stats["qdist_time"] += time.perf_counter() - t
-                feasible = self._check_feasible()
-                if not feasible:
-                    break
-                continue
-            if self.fast and self.dist:
-                qd = self._recombine_qd()  # maintained by Algorithm 5
-            else:
-                qd = self._query_distances_full()
-            if feasible:
-                dmax = max(qd.values(), default=0.0)
-                if dmax < best_qd:
-                    best_qd = dmax
-                    best = set(self.g.vertices)
-            dmax = max(qd.values(), default=0.0)
-            S = {v for v, d in qd.items() if d >= dmax} - set(self.queries)
-            if not S or dmax <= 0:
-                break
-            old_dists = {q: dict(self.dist[q]) for q in self.queries}
-            gone = self._delete_and_maintain(S)
-            if self.fast:
-                t = time.perf_counter()
-                for q in self.queries:
-                    self._fast_update(q, gone, old_dists[q])
-                self.stats["qdist_time"] += time.perf_counter() - t
-            feasible = self._check_feasible()
-            if not feasible:
-                break
+        best, best_qd, self.stats["iterations"] = greedy_peel(
+            self.g,
+            self.queries,
+            self._distances,
+            self._delete,
+            feasible=self._check_feasible(recount=False),
+            max_iterations=self.max_iterations,
+        )
         self.stats["total_time"] = time.perf_counter() - t0
         if best is None:
             return None

@@ -21,22 +21,14 @@ from ..local.bfs import INF
 from ..local.graph import LocalGraph
 
 
-def fast_update(
-    g: LocalGraph,
-    dist: Dict[int, float],
-    deleted: Iterable[int],
-    old_dist: Dict[int, float],
-) -> int:
+def fast_update(g: LocalGraph, dist: Dict[int, float], deleted: Iterable[int]) -> int:
     """Incrementally update single-source distances after deletions.
 
-    ``dist`` is the map being maintained (entries for deleted vertices
-    are dropped); ``old_dist`` holds the pre-deletion distances (used
-    for ``d_min``). Unreachable survivors end at ``INF``.
+    ``dist`` is the map being maintained; it still holds the old
+    distances of the ``deleted`` vertices, which are popped from it to
+    find ``d_min``. Unreachable survivors end at ``INF``.
     """
-    deleted = list(deleted)
-    for v in deleted:
-        dist.pop(v, None)
-    d_min = min((old_dist.get(v, INF) for v in deleted), default=INF)
+    d_min = min((dist.pop(v, INF) for v in deleted), default=INF)
     if d_min == INF:
         return 0  # only unreachable vertices were deleted
     s_u = {v for v in g.adj if dist.get(v, INF) > d_min}

@@ -103,10 +103,6 @@ class SparkLabeledGraph:
             .join(ids.withColumnRenamed("id", "dst"), "dst", "semi"),
         )
 
-    def label_group(self, label: str) -> "SparkLabeledGraph":
-        """Homogeneous subgraph induced by one label (homogeneous edges only)."""
-        return self.induced(self.vertices.where(F.col("label") == label))
-
     def homogeneous(self) -> "SparkLabeledGraph":
         """All vertices, with only the edges whose endpoints share a label.
 
@@ -130,7 +126,7 @@ class SparkLabeledGraph:
 
         One H-index fixpoint over :meth:`homogeneous`, run on first use
         and kept (materialised) on this instance; derived graphs
-        (``induced``, ``label_group``, ``homogeneous``) start without it.
+        (``induced``, ``homogeneous``) start without it.
         """
         if self._label_core is None:
             self._label_core = (

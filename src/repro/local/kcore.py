@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Mapping, Set
+from typing import Collection, Dict, Mapping, Set
 
 from .graph import LocalGraph
 
@@ -36,13 +36,12 @@ def kcore(g: LocalGraph, k: int) -> LocalGraph:
     return g.induced(kcore_vertices(g, k))
 
 
-def peel_to_kcore(g: LocalGraph, k: int, removed: Iterable[int]) -> Set[int]:
-    """Core maintenance: cascade-delete after ``removed`` left ``g``.
+def peel_to_kcore(g: LocalGraph, k: int) -> Set[int]:
+    """Core maintenance: restrict ``g`` (in place) to its k-core.
 
-    ``g`` is assumed to have been a k-core before ``removed`` were
-    deleted (they are already gone from ``g``). Mutates ``g`` in place,
-    peeling any vertex whose degree fell below ``k``, and returns the
-    set of additionally deleted vertices.
+    Scans every vertex of ``g`` and peels any whose degree is below
+    ``k``, cascading to its neighbours, until the whole graph is a
+    fixpoint; returns the set of deleted vertices.
     """
     q = deque(v for v in g.adj if len(g.adj[v]) < k)
     gone: Set[int] = set()

@@ -52,9 +52,8 @@ def trussness(g: LocalGraph) -> Dict[Edge, int]:
     return truss
 
 
-def ktruss_subgraph(g: LocalGraph, k: int) -> LocalGraph:
-    """Maximal k-truss of ``g`` as a subgraph (may drop isolated vertices)."""
-    t = trussness(g)
+def _truss_subgraph(g: LocalGraph, t: Dict[Edge, int], k: int) -> LocalGraph:
+    """Subgraph of ``g`` on the edges with truss number ``t[e] >= k``."""
     keep_edges = [e for e, kv in t.items() if kv >= k]
     verts = {x for e in keep_edges for x in e}
     out = LocalGraph()
@@ -63,6 +62,11 @@ def ktruss_subgraph(g: LocalGraph, k: int) -> LocalGraph:
     for u, v in keep_edges:
         out.add_edge(u, v)
     return out
+
+
+def ktruss_subgraph(g: LocalGraph, k: int) -> LocalGraph:
+    """Maximal k-truss of ``g`` as a subgraph (may drop isolated vertices)."""
+    return _truss_subgraph(g, trussness(g), k)
 
 
 def max_truss_containing(g: LocalGraph, queries: Set[int]) -> Tuple[int, LocalGraph]:
@@ -76,7 +80,7 @@ def max_truss_containing(g: LocalGraph, queries: Set[int]) -> Tuple[int, LocalGr
     t = trussness(g)
     kmax = max(t.values(), default=2)
     for k in range(kmax, 1, -1):
-        sub = ktruss_subgraph(g, k)
+        sub = _truss_subgraph(g, t, k)
         if all(q in sub for q in queries) and sub.connected(queries):
             q0 = next(iter(queries))
             return k, sub.induced(sub.component_of(q0))

@@ -4,8 +4,9 @@ The brute-force implementations here are deliberately naive (subset
 enumeration, O(n^3) shortest paths, direct 2x2-biclique counting) and
 independent of the code under test — they are the ground truth the
 fast implementations are checked against on small inputs.
-``heap_coreness`` and ``peeled_g0`` keep the implementations that a
-faster path replaced, as differential references for it.
+``heap_coreness``, ``peeled_g0``, ``old_ctc`` and ``old_psa`` keep the
+implementations that a faster or shared path replaced, as differential
+references for it.
 """
 from __future__ import annotations
 
@@ -152,6 +153,89 @@ def peeled_g0(
         union |= sub.induced(core_vs).component_of(q)
     g0 = g.induced(union)
     return g0 if _connectivity_ok(g0, labs, b) else None
+
+
+def old_ctc(g: LocalGraph, queries, max_iterations: int = 10_000):
+    """CTC with its own copy of the greedy loop (the implementation the
+    shared ``greedy_peel`` replaced)."""
+    from repro.baselines.ctc import _maintain_truss
+    from repro.core.model import BCCResult
+    from repro.local.bfs import INF, query_distances
+    from repro.local.truss import max_truss_containing
+
+    queries = [int(q) for q in queries]
+    k, cur = max_truss_containing(g, set(queries))
+    if len(cur) == 0:
+        return None
+    best = None
+    best_qd = INF
+    iters = 0
+    while iters < max_iterations:
+        iters += 1
+        if not cur.connected(queries):
+            break
+        comp = cur.component_of(queries[0])
+        if len(comp) < len(cur):
+            cur.remove_vertices(cur.vertices - comp)
+            _maintain_truss(cur, k)
+            continue
+        qd = query_distances(cur, queries)
+        dmax = max(qd.values(), default=0.0)
+        if dmax < best_qd:
+            best_qd = dmax
+            best = set(cur.vertices)
+        S = {v for v, d in qd.items() if d >= dmax} - set(queries)
+        if not S or dmax <= 0:
+            break
+        cur.remove_vertices(S)
+        _maintain_truss(cur, k)
+    if best is None:
+        return None
+    return BCCResult(g.induced(best), queries, best_qd, {"k_truss": k, "iterations": iters})
+
+
+def old_psa(g: LocalGraph, queries, k: Optional[int] = None, max_iterations: int = 10_000):
+    """PSA with its own copy of the greedy loop (the implementation the
+    shared ``greedy_peel`` replaced)."""
+    from repro.core.model import BCCResult
+    from repro.local.bfs import INF, query_distances
+    from repro.local.kcore import coreness, kcore_vertices, peel_to_kcore
+
+    queries = [int(q) for q in queries]
+    if any(q not in g for q in queries):
+        return None
+    if k is None:
+        c = coreness(g)
+        k = min(c[q] for q in queries)
+    core_vs = kcore_vertices(g, k)
+    if not all(q in core_vs for q in queries):
+        return None
+    cur = g.induced(core_vs)
+    best = None
+    best_qd = INF
+    iters = 0
+    while iters < max_iterations:
+        iters += 1
+        if not cur.connected(queries):
+            break
+        comp = cur.component_of(queries[0])
+        if len(comp) < len(cur):
+            cur.remove_vertices(cur.vertices - comp)
+            peel_to_kcore(cur, k)
+            continue
+        qd = query_distances(cur, queries)
+        dmax = max(qd.values(), default=0.0)
+        if dmax < best_qd:
+            best_qd = dmax
+            best = set(cur.vertices)
+        S = {v for v, d in qd.items() if d >= dmax} - set(queries)
+        if not S or dmax <= 0:
+            break
+        cur.remove_vertices(S)
+        peel_to_kcore(cur, k)
+    if best is None:
+        return None
+    return BCCResult(g.induced(best), queries, best_qd, {"k_core": k, "iterations": iters})
 
 
 def brute_edge_support(g: LocalGraph) -> Dict[Tuple[int, int], int]:

@@ -22,7 +22,7 @@ def test_example4_ql_no_updates():
     old = bfs_distances(g, I["q_l"])
     dist = dict(old)
     g.remove_vertex(I["u9"])
-    n_updated = fast_update(g, dist, [I["u9"]], old)
+    n_updated = fast_update(g, dist, [I["u9"]])
     assert n_updated == 0
     assert dist == {v: d for v, d in old.items() if v != I["u9"]}
 
@@ -30,10 +30,9 @@ def test_example4_ql_no_updates():
 def test_example4_qr_updates_u4_u7():
     """For q_r, d_min = 1; u4 and u7 move from distance 2 to 3."""
     g = figure3_graph()
-    old = bfs_distances(g, I["q_r"])
-    dist = dict(old)
+    dist = bfs_distances(g, I["q_r"])
     g.remove_vertex(I["u9"])
-    fast_update(g, dist, [I["u9"]], old)
+    fast_update(g, dist, [I["u9"]])
     assert dist[I["u4"]] == 3
     assert dist[I["u7"]] == 3
     # everything else as in Table 2's "after deletion" row
@@ -51,9 +50,8 @@ def test_matches_full_recompute_random(seed):
         if not alive:
             break
         batch = [int(v) for v in rng.choice(alive, size=min(4, len(alive)), replace=False)]
-        old = dict(dist)
         g.remove_vertices(batch)
-        fast_update(g, dist, batch, old)
+        fast_update(g, dist, batch)
         assert dist == bfs_distances(g, src), f"diverged after deleting {batch}"
 
 
@@ -61,9 +59,8 @@ def test_deleting_unreachable_is_noop():
     g = random_labeled_graph(10, 0.0, seed=0)  # edgeless
     src = 0
     dist = bfs_distances(g, src)
-    old = dict(dist)
     g.remove_vertex(5)
-    n = fast_update(g, dist, [5], old)
+    n = fast_update(g, dist, [5])
     assert n == 0
     assert 5 not in dist
 
@@ -74,9 +71,8 @@ def test_vertices_can_become_unreachable():
 
     g = LocalGraph.from_edges([(0, 1), (1, 2)], {0: "A", 1: "A", 2: "A"})
     dist = bfs_distances(g, 0)
-    old = dict(dist)
     g.remove_vertex(1)
-    fast_update(g, dist, [1], old)
+    fast_update(g, dist, [1])
     assert dist[2] == INF
     assert dist[0] == 0
 
@@ -85,8 +81,7 @@ def test_batch_deletion():
     g = random_labeled_graph(30, 0.15, seed=3)
     src = int(sorted(g.vertices)[0])
     dist = bfs_distances(g, src)
-    old = dict(dist)
     batch = sorted(g.vertices - {src})[:8]
     g.remove_vertices(batch)
-    fast_update(g, dist, batch, old)
+    fast_update(g, dist, batch)
     assert dist == bfs_distances(g, src)

@@ -104,7 +104,7 @@ def test_peel_to_kcore_matches_recompute(seed, k):
     # incremental
     inc = core.copy()
     inc.remove_vertices(victims)
-    peel_to_kcore(inc, k, victims)
+    peel_to_kcore(inc, k)
     # recompute
     ref = g.copy()
     ref.remove_vertices(victims)
@@ -119,7 +119,7 @@ def test_peel_to_kcore_returns_cascade():
     )
     h = g.copy()
     h.remove_vertex(5)
-    gone = peel_to_kcore(h, 2, [5])
+    gone = peel_to_kcore(h, 2)
     assert gone == {4}
     assert h.vertices == {1, 2, 3}
 

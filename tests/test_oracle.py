@@ -1,98 +1,92 @@
-"""The DuckDB result-equality oracle itself, exercised over the
-provided TPC-H-lite generators — including negative cases (a wrong
-Spark result must be caught, not waved through)."""
+"""The DuckDB result-equality oracle itself, exercised over the vertex
+and edge frames of the Figure-3 graph — including negative cases (a
+wrong Spark result must be caught, not waved through)."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
-SF = 0.002  # tiny: oracle plumbing, not scale, is under test
+
+@pytest.fixture(scope="module")
+def vertices(fig3_spark):
+    return fig3_spark.vertices
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=SF).cache()
+def edges(fig3_spark):
+    return fig3_spark.edges
 
 
-@pytest.fixture(scope="module")
-def orders(spark):
-    return synth_data.orders(spark, sf=SF).cache()
-
-
-def test_aggregate_equivalence(li):
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty"), F.count("*").alias("n")
+def test_aggregate_equivalence(vertices):
+    got = vertices.groupBy("label").agg(
+        F.sum("id").alias("ids"), F.count("*").alias("n")
     )
     assert_equivalent(
         got,
-        """SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS n
-           FROM lineitem GROUP BY l_returnflag""",
-        lineitem=li,
+        "SELECT label, SUM(id) AS ids, COUNT(*) AS n FROM vertices GROUP BY label",
+        vertices=vertices,
     )
 
 
-def test_join_equivalence(li, orders):
+def test_join_equivalence(vertices, edges):
     got = (
-        li.join(orders, li.l_orderkey == orders.o_orderkey)
-        .groupBy("o_orderpriority")
+        edges.join(vertices, edges.src == vertices.id)
+        .groupBy("label")
         .agg(F.count("*").alias("n"))
     )
     assert_equivalent(
         got,
-        """SELECT o_orderpriority, COUNT(*) AS n
-           FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-           GROUP BY o_orderpriority""",
-        lineitem=li,
-        orders=orders,
+        """SELECT label, COUNT(*) AS n
+           FROM edges JOIN vertices ON src = id
+           GROUP BY label""",
+        vertices=vertices,
+        edges=edges,
     )
 
 
-def test_oracle_catches_wrong_float_result(li):
+def test_oracle_catches_wrong_float_result(vertices):
     # note: the oracle compares floats with assert_frame_equal's default
     # relative tolerance (1e-5), so the perturbation must exceed it —
     # real planner bugs (dropped rows, wrong join) do by orders of magnitude
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.sum("l_quantity") * 1.01).alias("qty")
-    )
+    wrong = vertices.groupBy("label").agg((F.avg("id") * 1.01).alias("m"))
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT label, AVG(id) AS m FROM vertices GROUP BY label",
+            vertices=vertices,
         )
 
 
-def test_oracle_catches_wrong_count(li):
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("n"))
+def test_oracle_catches_wrong_count(vertices):
+    wrong = vertices.groupBy("label").agg((F.count("*") + 1).alias("n"))
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT label, COUNT(*) AS n FROM vertices GROUP BY label",
+            vertices=vertices,
         )
 
 
-def test_oracle_catches_missing_group(li):
-    wrong = li.where(F.col("l_returnflag") != "A").groupBy("l_returnflag").agg(
+def test_oracle_catches_missing_group(vertices):
+    wrong = vertices.where(F.col("label") != "A").groupBy("label").agg(
         F.count("*").alias("n")
     )
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT label, COUNT(*) AS n FROM vertices GROUP BY label",
+            vertices=vertices,
         )
 
 
-def test_oracle_catches_column_mismatch(li):
-    got = li.groupBy("l_returnflag").agg(F.count("*").alias("cnt"))
+def test_oracle_catches_column_mismatch(vertices):
+    got = vertices.groupBy("label").agg(F.count("*").alias("cnt"))
     with pytest.raises(AssertionError, match="column mismatch"):
         assert_equivalent(
             got,
-            "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
-            lineitem=li,
+            "SELECT label, COUNT(*) AS n FROM vertices GROUP BY label",
+            vertices=vertices,
         )
 
 
@@ -100,23 +94,3 @@ def test_oracle_accepts_pandas_tables(spark):
     pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
     got = spark.createDataFrame(pdf).groupBy("k").agg(F.sum("v").alias("s"))
     assert_equivalent(got, "SELECT k, SUM(v) AS s FROM t GROUP BY k", t=pdf)
-
-
-def test_synth_determinism(spark):
-    a = synth_data.lineitem(spark, sf=SF, seed=7).toPandas()
-    b = synth_data.lineitem(spark, sf=SF, seed=7).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=2000, n_keys=50, seed=1)
-    counts = df.groupBy("k").count().orderBy(F.desc("count")).collect()
-    # zipfian: the hottest key dominates the median key
-    assert counts[0]["count"] > 5 * counts[len(counts) // 2]["count"]
-
-
-def test_uniform_keys_cover_range(spark):
-    df = synth_data.uniform_keys(spark, n=500, n_keys=10, seed=2)
-    ks = {r["k"] for r in df.select("k").distinct().collect()}
-    assert ks <= set(range(1, 11))
-    assert len(ks) >= 8

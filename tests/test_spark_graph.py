@@ -71,10 +71,13 @@ def test_induced(fig3_spark, fig3_local, spark):
 
 
 def test_label_group(fig3_spark, fig3_local):
-    ga = fig3_spark.label_group("A")
-    loc = fig3_local.homogeneous_induced("A")
-    assert ga.num_vertices() == len(loc)
-    assert ga.num_edges() == loc.num_edges()
+    """The homogeneous view keeps every vertex and exactly the edges of
+    the label groups."""
+    h = fig3_spark.homogeneous()
+    assert h.num_vertices() == len(fig3_local)
+    assert h.num_edges() == sum(
+        fig3_local.homogeneous_induced(l).num_edges() for l in fig3_local.label_set()
+    )
 
 
 def test_cross_edges_match_local(fig3_spark, fig3_local):
