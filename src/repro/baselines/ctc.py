@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.truss import max_truss_containing, trussness
-from ..core.engine import greedy_peel
+from ..core.engine import farthest_layer, greedy_peel
 from ..core.model import BCCResult
 
 
@@ -51,7 +51,7 @@ def ctc(g: LocalGraph, queries: Sequence[int], max_iterations: int = 10_000) -> 
         return True
 
     best, best_qd, iters = greedy_peel(
-        cur, queries, lambda: query_distances(cur, queries), delete,
+        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete,
         max_iterations=max_iterations,
     )
     if best is None:

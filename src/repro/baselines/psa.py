@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.kcore import coreness, kcore_vertices, peel_to_kcore
-from ..core.engine import greedy_peel
+from ..core.engine import farthest_layer, greedy_peel
 from ..core.model import BCCResult
 
 
@@ -50,7 +50,7 @@ def psa(
         return True
 
     best, best_qd, iters = greedy_peel(
-        cur, queries, lambda: query_distances(cur, queries), delete,
+        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete,
         max_iterations=max_iterations,
     )
     if best is None:

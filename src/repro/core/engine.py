@@ -9,7 +9,11 @@ One engine drives all BCC variants:
   query-distance updates (Algorithm 5), leader-pair identification
   (Algorithm 6), and O(d²) leader butterfly-degree updates (Algorithm
   7); full recounts happen only when a leader is deleted or drops
-  below ``b``.
+  below ``b``. Each query's distances and their max-combine ``qd`` are
+  kept in distance-level buckets: after a deletion batch only the
+  vertices beyond ``d_min`` are re-labeled and re-combined, and the
+  farthest layer is the top bucket of ``qd``, so an iteration costs
+  what changed, not |G|.
 
 Both modes use bulk deletion (all vertices at the maximum query
 distance are removed per iteration), as all methods do in the paper's
@@ -17,7 +21,10 @@ experiments. For m > 2 query labels the engine maintains one
 :class:`PairState` per label pair with cross edges and checks Def.-7
 cross-group connectivity instead of the single leader-pair condition
 (Algorithm 9). The loop itself is :func:`greedy_peel`, which the CTC
-and PSA baselines share with their own deletion step.
+and PSA baselines share with their own deletion step and
+:func:`farthest_layer` over Online-mode query distances. Vertices cut
+off from a query sit at distance ``INF``, so the loop peels them as the
+farthest layer and needs no component search.
 
 Instrumentation (``BCCResult.stats``) backs Table 4: ``qdist_time``,
 ``leader_time`` (Alg 6+7 / full-recount time), ``butterfly_counting``
@@ -34,15 +41,21 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..local.bfs import INF, bfs_distances
 from ..local.butterfly import Bipartite, butterfly_degrees
 from ..local.graph import LocalGraph
-from .fastdist import fast_update
+from .fastdist import Buckets, bucket_levels, fast_update, rebucket
 from .leader import identify_leader, update_leader_on_delete
 from .model import BCCResult, InvalidQuery, groups_connected, leaders_clear
+
+
+def farthest_layer(qd: Mapping[int, float]) -> Tuple[float, Set[int]]:
+    """The largest query distance in ``qd`` and the vertices at it."""
+    dmax = max(qd.values(), default=0.0)
+    return dmax, {v for v, d in qd.items() if d >= dmax}
 
 
 def greedy_peel(
     g: LocalGraph,
     queries: Sequence[int],
-    distances: Callable[[], Dict[int, float]],
+    farthest: Callable[[], Tuple[float, Set[int]]],
     delete: Callable[[Set[int]], bool],
     *,
     feasible: bool = True,
@@ -50,13 +63,17 @@ def greedy_peel(
 ) -> Tuple[Optional[Set[int]], float, int]:
     """Algorithm 1's greedy loop, shared by BCC, CTC and PSA.
 
-    Each iteration keeps the queries' component of ``g`` (stopping if a
-    query is missing or cut off), then records ``g`` as the best snapshot
-    if it is feasible and its query distance (``distances()``, Def. 5) is
-    the smallest so far, and bulk-deletes the farthest layer. ``delete(S)``
-    removes ``S`` from ``g``, restores the model's invariant (butterfly-
-    core, k-truss or k-core) and returns whether ``g`` is still feasible;
-    the loop stops when it is not. ``feasible`` is the initial state.
+    ``farthest()`` returns the largest query distance of ``g`` (Def. 5)
+    and the layer of vertices at it. Each iteration records ``g`` as the
+    best snapshot if it is feasible and that distance is the smallest so
+    far, then bulk-deletes the layer. Vertices cut off from a query are
+    at distance ``INF``, so they form the farthest layer and are peeled
+    (never recorded) before any finite layer; the loop stops when a query
+    is missing or itself in the ``INF`` layer (cut off from the others).
+    ``delete(S)`` removes ``S`` from ``g``, restores the model's
+    invariant (butterfly-core, k-truss or k-core) and returns whether
+    ``g`` is still feasible; the loop stops when it is not. ``feasible``
+    is the initial state.
 
     Returns ``(best_vertices or None, best_qd, iterations)``.
     """
@@ -65,20 +82,17 @@ def greedy_peel(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        comp = g.component_of(queries[0])
-        if any(q not in comp for q in queries):
+        if any(q not in g for q in queries):
             break
-        if len(comp) < len(g):
-            S = g.vertices - comp
-        else:
-            qd = distances()
-            dmax = max(qd.values(), default=0.0)
-            if feasible and dmax < best_qd:
-                best_qd = dmax
-                best = set(g.vertices)
-            S = {v for v, d in qd.items() if d >= dmax} - set(queries)
-            if not S or dmax <= 0:
-                break
+        dmax, layer = farthest()
+        if dmax == INF and any(q in layer for q in queries):
+            break
+        if feasible and dmax < best_qd:
+            best_qd = dmax
+            best = g.vertices
+        S = layer.difference(queries)
+        if not S or dmax <= 0:
+            break
         feasible = delete(S)
         if not feasible:
             break
@@ -146,15 +160,18 @@ class RefinementEngine:
             "iterations": 0,
             "g0_size": len(g0),
         }
-        # homogeneous degree per vertex (same-label neighbours) for core peeling
+        # homogeneous degree per vertex (same-label neighbours) for core
+        # peeling; every label group of g0 counts, query label or not
+        by_label: Dict[object, Set[int]] = {}
+        for v, lab in self.g.labels.items():
+            by_label.setdefault(lab, set()).add(v)
         self.hdeg: Dict[int, int] = {
-            v: sum(1 for u in self.g.adj[v] if self.g.labels[u] == self.g.labels[v])
-            for v in self.g.adj
+            v: len(ns & by_label[self.g.labels[v]]) for v, ns in self.g.adj.items()
         }
         # one PairState per label pair with cross edges in g0
         self.pairs: List[PairState] = []
         self.pairs_by_label: Dict[object, List[PairState]] = {l: [] for l in self.labels}
-        groups = [self.g.vertices_with_label(l) for l in self.labels]
+        groups = [by_label[l] for l in self.labels]
         for i, j in combinations(range(len(self.labels)), 2):
             edges = [
                 (u, v) for u in groups[i] for v in self.g.adj[u] if v in groups[j]
@@ -173,9 +190,13 @@ class RefinementEngine:
                 self._set_chi(ps, given[ps.ia, ps.ib])
             else:
                 self._full_count(ps)
-        # incremental distance maps per query (LP mode computes lazily too,
-        # but the first computation is a full BFS either way)
-        self.dist: Dict[int, Dict[int, float]] = {}
+        # LP mode: one Algorithm-5 distance map per query with its level
+        # buckets, and their max-combine qd with its own buckets (the top
+        # bucket is the farthest layer); filled by the first full BFS
+        self.qdist_maps: List[Dict[int, float]] = []
+        self.qdist_levels: List[Buckets] = []
+        self.qd: Dict[int, float] = {}
+        self.qd_levels: Buckets = {}
 
     # ------------------------------------------------------------------
     # butterfly bookkeeping (Algorithms 3, 6, 7)
@@ -281,30 +302,56 @@ class RefinementEngine:
     # ------------------------------------------------------------------
     # query distances (full BFS vs Algorithm 5)
     # ------------------------------------------------------------------
-    def _query_distances_full(self) -> Dict[int, float]:
-        """Full BFS per query (Algorithm 1's baseline distance step)."""
-        t = time.perf_counter()
-        for q in self.queries:
-            self.dist[q] = bfs_distances(self.g, q)
-        self.stats["qdist_time"] += time.perf_counter() - t
-        return self._recombine_qd()
+    def _bfs_qd(self) -> Tuple[List[Dict[int, float]], Dict[int, float]]:
+        """A full BFS per query and their max-combine (Def. 5)."""
+        maps = [bfs_distances(self.g, q) for q in self.queries]
+        qd = {v: 0.0 for v in self.g.adj}
+        for dq in maps:
+            for v in self.g.adj:
+                if dq[v] > qd[v]:
+                    qd[v] = dq[v]
+        return maps, qd
 
-    def _distances(self) -> Dict[int, float]:
-        """Combined query distances: maintained by Algorithm 5 in LP mode
-        once the first full BFS has run, a full BFS otherwise."""
-        if self.fast and self.dist:
-            return self._recombine_qd()
-        return self._query_distances_full()
+    def _farthest(self) -> Tuple[float, Set[int]]:
+        """The farthest layer: Online mode runs a full BFS per query
+        (Algorithm 1's distance step); LP mode reads the top bucket of the
+        maintained qd, after one full BFS on the first call."""
+        t = time.perf_counter()
+        if not self.fast:
+            qd = self._bfs_qd()[1]
+            self.stats["qdist_time"] += time.perf_counter() - t
+            return farthest_layer(qd)
+        if not self.qdist_maps:
+            self.qdist_maps, self.qd = self._bfs_qd()
+            self.qdist_levels = [bucket_levels(dq) for dq in self.qdist_maps]
+            self.qd_levels = bucket_levels(self.qd)
+            self.stats["qdist_time"] += time.perf_counter() - t
+        dmax = max(self.qd_levels)
+        return dmax, self.qd_levels[dmax]
+
+    def _update_qd(self, gone: List[int]) -> None:
+        """Algorithm 5 on every query's map, then re-combine qd only at the
+        deleted vertices and the re-labeled ones."""
+        qd, levels = self.qd, self.qd_levels
+        for v in gone:
+            rebucket(levels, v, qd.pop(v))
+        touched: Set[int] = set()
+        for dq, buckets in zip(self.qdist_maps, self.qdist_levels):
+            touched.update(fast_update(self.g, dq, buckets, gone))
+        for v in touched:
+            new = max(dq[v] for dq in self.qdist_maps)
+            if new != qd[v]:
+                rebucket(levels, v, qd[v], new)
+                qd[v] = new
 
     def _delete(self, S: Set[int]) -> bool:
         """Algorithm 4 peeling after deleting ``S``, then (LP mode)
-        Algorithm 5 on every maintained distance map; returns whether
-        the graph is still feasible."""
+        Algorithm 5 on the maintained distances; returns whether the
+        graph is still feasible."""
         gone = self._delete_and_maintain(S)
-        if self.fast and self.dist:
+        if self.qdist_maps:
             t = time.perf_counter()
-            for q in self.queries:
-                fast_update(self.g, self.dist[q], gone)
+            self._update_qd(gone)
             self.stats["qdist_time"] += time.perf_counter() - t
         return self._check_feasible()
 
@@ -320,7 +367,7 @@ class RefinementEngine:
         best, best_qd, self.stats["iterations"] = greedy_peel(
             self.g,
             self.queries,
-            self._distances,
+            self._farthest,
             self._delete,
             feasible=self._check_feasible(recount=False),
             max_iterations=self.max_iterations,
@@ -329,16 +376,3 @@ class RefinementEngine:
         if best is None:
             return None
         return BCCResult(self.g0.induced(best), self.queries, best_qd, dict(self.stats))
-
-    def _recombine_qd(self) -> Dict[int, float]:
-        """Max-over-queries combine of the maintained distance maps."""
-        t = time.perf_counter()
-        qd = {v: 0.0 for v in self.g.adj}
-        for q in self.queries:
-            dq = self.dist[q]
-            for v in self.g.adj:
-                d = dq.get(v, INF)
-                if d > qd[v]:
-                    qd[v] = d
-        self.stats["qdist_time"] += time.perf_counter() - t
-        return qd

@@ -130,12 +130,12 @@ def l2p_bcc(
     query vertex (i.e. the query's coreness within G_t).
     """
     t0 = time.perf_counter()
-    idx = index if index is not None else build_bcindex_local(g)
     if any(q not in g for q in queries):
         return None
     labels = [g.label(q) for q in queries]
     if len(set(labels)) != len(labels):
         return None
+    idx = index if index is not None else build_bcindex_local(g)
     allowed = {v for v in g.adj if g.labels[v] in set(labels)}
 
     # per-vertex chi over the query-label pairs it participates in

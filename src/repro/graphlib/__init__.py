@@ -7,6 +7,6 @@ butterfly counting, and dataset statistics.
 """
 from .labeled import SparkLabeledGraph  # noqa: F401
 from .kcore import coreness, max_coreness  # noqa: F401
-from .bfs import bfs_distances, query_distances  # noqa: F401
+from .bfs import bfs_distances  # noqa: F401
 from .butterfly import butterfly_degrees  # noqa: F401
 from .stats import GraphStats, graph_stats  # noqa: F401

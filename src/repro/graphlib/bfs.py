@@ -1,10 +1,8 @@
 """Distributed BFS over the edge relation (iterative frontier joins).
 
 Backs the Spark G0 component search (Algorithm 2: one multi-source BFS
-over the query labels' cores) and query-distance computation on the
-full graph (Algorithm 1 phase 1). Each round expands the frontier by
-one hop with a join + anti-join; rounds = eccentricity of the source
-set.
+over the query labels' cores). Each round expands the frontier by one
+hop with a join + anti-join; rounds = eccentricity of the source set.
 """
 from __future__ import annotations
 
@@ -59,25 +57,3 @@ def bfs_distances(
         prev, frontier = frontier, nxt
     raise RuntimeError("bfs did not terminate")
 
-
-def query_distances(g: SparkLabeledGraph, queries: Iterable[int]) -> DataFrame:
-    """Def. 5 as dataflow: (id, qdist) with qdist = max over queries.
-
-    Vertices unreachable from some query get ``qdist = NULL`` (the
-    dataflow analogue of infinity).
-    """
-    queries = list(queries)
-    out = g.vertices.select("id")
-    for i, q in enumerate(queries):
-        d = bfs_distances(g, [q]).withColumnRenamed("dist", f"d{i}")
-        out = out.join(d, "id", "left")
-    cols = [F.col(f"d{i}") for i in range(len(queries))]
-    # greatest() of any NULL must stay NULL (unreachable), so guard first
-    any_null = None
-    for c in cols:
-        isn = c.isNull()
-        any_null = isn if any_null is None else (any_null | isn)
-    return out.select(
-        "id",
-        F.when(any_null, F.lit(None)).otherwise(F.greatest(*cols) if len(cols) > 1 else cols[0]).alias("qdist"),
-    )

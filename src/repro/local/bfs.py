@@ -30,23 +30,6 @@ def bfs_distances(g: LocalGraph, source: int) -> Dict[int, float]:
     return dist
 
 
-def multi_source_bfs(g: LocalGraph, sources: Iterable[int], seed_dist: int = 0) -> Dict[int, float]:
-    """BFS from a set of sources, all starting at distance ``seed_dist``."""
-    dist: Dict[int, float] = {v: INF for v in g.adj}
-    q = deque()
-    for s in sources:
-        if s in g.adj:
-            dist[s] = seed_dist
-            q.append(s)
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] == INF:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 def query_distances(g: LocalGraph, queries: Iterable[int]) -> Dict[int, float]:
     """Def. 5: ``dist(v, Q) = max_{q in Q} dist(v, q)`` for every vertex."""
     qd: Dict[int, float] = {v: 0.0 for v in g.adj}
@@ -56,11 +39,6 @@ def query_distances(g: LocalGraph, queries: Iterable[int]) -> Dict[int, float]:
             if d[v] > qd[v]:
                 qd[v] = d[v]
     return qd
-
-
-def eccentricity(g: LocalGraph, v: int) -> float:
-    d = bfs_distances(g, v)
-    return max(d.values()) if d else 0.0
 
 
 def diameter(g: LocalGraph, vertices: Set[int] | None = None) -> float:

@@ -35,12 +35,6 @@ class Bipartite:
         self.left.discard(v)
         self.right.discard(v)
 
-    def restrict(self, keep: Set[int]) -> None:
-        """Drop all vertices outside ``keep`` (e.g. after core maintenance)."""
-        for v in list(self.adj):
-            if v not in keep:
-                self.remove_vertex(v)
-
     def degree(self, v: int) -> int:
         return len(self.adj.get(v, ()))
 
@@ -57,26 +51,3 @@ def butterfly_degrees(b: Bipartite) -> Dict[int, int]:
         chi[v] = sum(p * (p - 1) // 2 for p in paths.values())
     return chi
 
-
-def butterfly_degree_of(b: Bipartite, v: int) -> int:
-    """chi of a single vertex (used by leader re-checks without a full count)."""
-    if v not in b.adj:
-        return 0
-    paths: Dict[int, int] = defaultdict(int)
-    for u in b.adj[v]:
-        for w in b.adj[u]:
-            if w != v:
-                paths[w] += 1
-    return sum(p * (p - 1) // 2 for p in paths.values())
-
-
-def total_butterflies(b: Bipartite) -> int:
-    """Number of distinct butterflies (each counted once).
-
-    Each butterfly contains two left and two right vertices, so
-    ``sum(chi(v) for v in left) == 2 * #butterflies``.
-    """
-    chi = butterfly_degrees(b)
-    s = sum(chi[v] for v in b.left)
-    assert s % 2 == 0
-    return s // 2

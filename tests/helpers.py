@@ -6,16 +6,19 @@ independent of the code under test — they are the ground truth the
 fast implementations are checked against on small inputs.
 ``heap_coreness``, ``peeled_g0``, ``old_ctc`` and ``old_psa`` keep the
 implementations that a faster or shared path replaced, as differential
-references for it.
+references for it; ``butterfly_degree_of`` and ``total_butterflies``
+are single-vertex and whole-graph butterfly counts that only tests need.
 """
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.local.butterfly import Bipartite, butterfly_degrees
 from repro.local.graph import LocalGraph, canon
 
 
@@ -65,6 +68,30 @@ def brute_butterfly_degrees(
                 for x in (l1, l2, r1, r2):
                     chi[x] += 1
     return chi
+
+
+def butterfly_degree_of(b: Bipartite, v: int) -> int:
+    """chi of a single vertex, by its own 2-hop path count."""
+    if v not in b.adj:
+        return 0
+    paths: Dict[int, int] = defaultdict(int)
+    for u in b.adj[v]:
+        for w in b.adj[u]:
+            if w != v:
+                paths[w] += 1
+    return sum(p * (p - 1) // 2 for p in paths.values())
+
+
+def total_butterflies(b: Bipartite) -> int:
+    """Number of distinct butterflies (each counted once).
+
+    Each butterfly contains two left and two right vertices, so
+    ``sum(chi(v) for v in left) == 2 * #butterflies``.
+    """
+    chi = butterfly_degrees(b)
+    s = sum(chi[v] for v in b.left)
+    assert s % 2 == 0
+    return s // 2
 
 
 def brute_all_pairs_dist(g: LocalGraph) -> Dict[Tuple[int, int], float]:

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.baselines import ctc, psa
-from repro.core.engine import greedy_peel
+from repro.core.engine import farthest_layer, greedy_peel
 from repro.local.bfs import INF, query_distances
 from repro.local.graph import LocalGraph
 from repro.local.kcore import kcore_vertices
@@ -146,7 +146,8 @@ def _path_peel(n, queries, max_iterations=100):
         return True
 
     return greedy_peel(
-        g, queries, lambda: query_distances(g, queries), delete, max_iterations=max_iterations
+        g, queries, lambda: farthest_layer(query_distances(g, queries)), delete,
+        max_iterations=max_iterations,
     )
 
 
@@ -164,5 +165,6 @@ def test_greedy_peel_disconnected_queries():
         raise AssertionError("nothing to delete when the queries are cut off")
 
     assert greedy_peel(
-        g, [0, 10], lambda: query_distances(g, [0, 10]), delete, max_iterations=10
+        g, [0, 10], lambda: farthest_layer(query_distances(g, [0, 10])), delete,
+        max_iterations=10,
     ) == (None, INF, 1)

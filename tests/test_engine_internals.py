@@ -1,11 +1,17 @@
 """RefinementEngine internals and edge cases."""
+import numpy as np
 import pytest
 
-from repro.core.engine import PairState, RefinementEngine
+from repro.core import default_ks
+from repro.core.engine import PairState, RefinementEngine, farthest_layer
+from repro.core.fastdist import bucket_levels
 from repro.core.g0 import find_g0_local
+from repro.local.bfs import INF, query_distances
 from repro.local.butterfly import Bipartite, butterfly_degrees
 from repro.local.graph import LocalGraph
 from repro.synth_graphs import figure2_graph, planted_bcc_graph
+
+from tests.helpers import random_labeled_graph
 
 
 def fig2_engine(fast=False):
@@ -123,3 +129,93 @@ def test_snapshot_qdist_decreases_monotonically():
     if g0.connected([ql, qr]):
         qd0 = max(query_distances(g0, [ql, qr]).values())
         assert res.qdist <= qd0
+
+
+def test_hdeg_counts_other_label_groups():
+    """A vertex of a non-query label keeps its own homogeneous degree, so
+    deleting its same-label neighbour does not fail."""
+    g0 = find_g0_local(figure2_graph(), [0, 10], [4, 3], 1)
+    g0.add_edge(500, 501, "C", "C")
+    g0.add_edge(500, 1, "C", g0.label(1))
+    eng = RefinementEngine(g0, [0, 10], [4, 3], 1, fast=True)
+    assert eng.hdeg[500] == eng.hdeg[501] == 1
+    assert eng._delete_and_maintain({501}) == [501]
+    assert eng.hdeg[500] == 0 and 500 in eng.g
+    assert eng.run() is not None
+
+
+def cut_off_candidate(seed):
+    """A candidate whose deletion cascade cuts a query-free piece off.
+
+    A dense random core holds the queries 0 (label A) and 1 (B). A ring of
+    seven B vertices closes through two core B vertices; its middle vertex
+    is the farthest from the queries, and with k_B = 2 deleting it peels
+    the whole ring. A dense A blob hangs off the ring's first vertex by
+    cross edges only, so it is cut off and sits at query distance INF.
+    """
+    rng = np.random.default_rng(seed)
+    core = random_labeled_graph(12, 0.7, seed=seed)
+    g = core.copy()
+    b2, b3 = [v for v in sorted(core.vertices) if core.label(v) == "B"][1:3]
+    ring = list(range(100, 107))
+    path = [b2] + ring + [b3]
+    for u, v in zip(path, path[1:]):
+        g.add_edge(u, v, "B", "B")
+    blob = list(range(200, 206))
+    for i, u in enumerate(blob):
+        for v in blob[i + 1:]:
+            if rng.random() < 0.8:
+                g.add_edge(u, v, "A", "A")
+        g.add_edge(u, ring[0], "A", "B")
+    return g, [0, 1], [2, 2]
+
+
+def planted_candidate(seed):
+    pg = planted_bcc_graph(n_communities=4, n_background=30, homo_noise_frac=0.1, seed=seed)
+    g = pg.to_local()
+    Q = [pg.leaders[0][0][0], pg.leaders[0][1][0]]
+    ks = default_ks(g, Q)
+    return find_g0_local(g, Q, ks, 1), Q, ks
+
+
+@pytest.mark.parametrize(
+    "make, seed", [(cut_off_candidate, s) for s in range(4)] + [(planted_candidate, s) for s in range(4)]
+)
+def test_combined_top_layer_matches_full_bfs(make, seed):
+    """LP mode's maintained qd, its buckets and their top layer equal a
+    fresh Def.-5 computation after every deletion batch."""
+    g0, Q, ks = make(seed)
+    eng = RefinementEngine(g0, Q, ks, 1, fast=True)
+    while all(q in eng.g for q in Q):
+        dmax, layer = eng._farthest()
+        full = query_distances(eng.g, Q)
+        assert eng.qd == full
+        assert eng.qd_levels == bucket_levels(full)
+        assert (dmax, layer) == farthest_layer(full)
+        S = layer - set(Q)
+        if not S or dmax <= 0 or not layer.isdisjoint(Q):
+            break
+        eng._delete(S)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_equals_online_when_cascades_cut_off(seed):
+    """The cut-off piece is peeled as the INF layer in both modes, and LP
+    returns what Online does."""
+    g0, Q, ks = cut_off_candidate(seed)
+    lp = RefinementEngine(g0, Q, ks, 1, fast=True)
+    layers = []
+    farthest = lp._farthest
+
+    def spy():
+        layers.append(farthest())
+        return layers[-1]
+
+    lp._farthest = spy
+    got = lp.run()
+    want = RefinementEngine(g0, Q, ks, 1, fast=False).run()
+    assert any(d == INF and layer.isdisjoint(Q) for d, layer in layers)
+    assert got is not None and want is not None
+    assert got.vertices == want.vertices
+    assert got.qdist == want.qdist
+    assert got.stats["iterations"] == want.stats["iterations"]

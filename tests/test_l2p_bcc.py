@@ -58,6 +58,19 @@ def test_same_label_queries_return_none():
     assert l2p_bcc(g, [0, 5], [4, 4], 1) is None
 
 
+def test_invalid_queries_build_no_index(monkeypatch):
+    """Queries are validated before the whole-graph BCindex is built."""
+    import repro.core.l2p as l2p
+
+    def fail(g):
+        raise AssertionError("BCindex built for an invalid query")
+
+    monkeypatch.setattr(l2p, "build_bcindex_local", fail)
+    g = figure2_graph()
+    assert l2p.l2p_bcc(g, [0, 999], [4, 3], 1) is None
+    assert l2p.l2p_bcc(g, [0, 5], [4, 4], 1) is None
+
+
 def test_path_prefers_high_coreness_route():
     """Two routes s->t: via a high-coreness vertex and via a low-coreness
     one; Def. 6's weight must pick the high-coreness route."""

@@ -9,10 +9,10 @@ import pytest
 
 from repro.core.leader import bounded_group_bfs, identify_leader, update_leader_on_delete
 from repro.core.model import cross_bipartite
-from repro.local.butterfly import Bipartite, butterfly_degree_of, butterfly_degrees
+from repro.local.butterfly import Bipartite, butterfly_degrees
 from repro.synth_graphs import FIG3_IDS, figure3_graph
 
-from tests.helpers import random_bipartite
+from tests.helpers import butterfly_degree_of, random_bipartite
 
 I = FIG3_IDS
 

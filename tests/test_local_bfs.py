@@ -3,14 +3,7 @@ import math
 
 import pytest
 
-from repro.local.bfs import (
-    INF,
-    bfs_distances,
-    diameter,
-    eccentricity,
-    multi_source_bfs,
-    query_distances,
-)
+from repro.local.bfs import INF, bfs_distances, diameter, query_distances
 from repro.local.graph import LocalGraph
 
 from tests.helpers import brute_all_pairs_dist, random_labeled_graph
@@ -50,18 +43,6 @@ def test_bfs_matches_floyd_warshall(seed):
             assert d[v] == ref[s, v]
 
 
-def test_multi_source_bfs():
-    g = path_graph(7)
-    d = multi_source_bfs(g, [0, 6])
-    assert d == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 0}
-
-
-def test_multi_source_seed_dist():
-    g = path_graph(3)
-    d = multi_source_bfs(g, [0], seed_dist=5)
-    assert d == {0: 5, 1: 6, 2: 7}
-
-
 def test_query_distances_is_max_over_queries():
     g = path_graph(5)
     qd = query_distances(g, [0, 4])
@@ -76,8 +57,8 @@ def test_query_distance_unreachable():
 
 def test_eccentricity_and_diameter():
     g = path_graph(6)
-    assert eccentricity(g, 0) == 5
-    assert eccentricity(g, 2) == 3
+    assert max(bfs_distances(g, 0).values()) == 5
+    assert max(bfs_distances(g, 2).values()) == 3
     assert diameter(g) == 5
 
 

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.local.butterfly import (
-    Bipartite,
+from repro.local.butterfly import Bipartite, butterfly_degrees
+
+from tests.helpers import (
+    brute_butterfly_degrees,
     butterfly_degree_of,
-    butterfly_degrees,
+    random_bipartite,
     total_butterflies,
 )
-
-from tests.helpers import brute_butterfly_degrees, random_bipartite
 
 
 def one_butterfly() -> Bipartite:
@@ -78,16 +78,6 @@ def test_remove_vertex_updates_counts():
     b = one_butterfly()
     b.remove_vertex(2)
     assert set(butterfly_degrees(b).values()) == {0}
-
-
-def test_restrict():
-    left, right, edges = random_bipartite(5, 5, 0.6, seed=1)
-    b = Bipartite(left, right, edges)
-    keep = set(left[:3]) | set(right[:3])
-    b.restrict(keep)
-    assert set(b.adj) <= keep
-    for u in b.adj:
-        assert all(v in keep for v in b.adj[u])
 
 
 def test_sides_must_be_disjoint():

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graphlib.bfs import bfs_distances, query_distances
+from repro.graphlib.bfs import bfs_distances
 from repro.local.bfs import INF
 from repro.local.bfs import bfs_distances as local_bfs
 from repro.oracle import assert_equivalent
@@ -60,19 +60,7 @@ def test_bfs_requires_source(fig3_spark):
         bfs_distances(fig3_spark, [])
 
 
-def test_query_distances_max_semantics(fig3_spark, fig3_local):
-    qd = {
-        r["id"]: r["qdist"]
-        for r in query_distances(fig3_spark, [I["q_l"], I["q_r"]]).collect()
-    }
-    ref_a = local_bfs(fig3_local, I["q_l"])
-    ref_b = local_bfs(fig3_local, I["q_r"])
-    for v in fig3_local.vertices:
-        expect = max(ref_a[v], ref_b[v])
-        assert qd[v] == (None if expect == INF else expect)
-
-
-def test_query_distances_unreachable_null(spark):
+def test_bfs_unreachable_absent(spark):
     import pandas as pd
 
     from repro.graphlib.labeled import SparkLabeledGraph
@@ -80,5 +68,4 @@ def test_query_distances_unreachable_null(spark):
     vdf = pd.DataFrame({"id": [1, 2, 3], "label": ["A", "A", "B"]})
     edf = pd.DataFrame({"src": [1], "dst": [2]})
     g = SparkLabeledGraph.from_pandas(spark, vdf, edf)
-    qd = {r["id"]: r["qdist"] for r in query_distances(g, [1]).collect()}
-    assert qd == {1: 0, 2: 1, 3: None}
+    assert {r["id"]: r["dist"] for r in bfs_distances(g, [1]).collect()} == {1: 0, 2: 1}
