@@ -60,9 +60,6 @@ class BCIndex:
                 self.chi[key] = butterfly_degrees(bp)
         return self.chi[key]
 
-    def chi_max_for_pair(self, lab_a: object, lab_b: object) -> int:
-        return max(self.chi_for_pair(lab_a, lab_b).values(), default=0)
-
 
 def build_bcindex_local(g: LocalGraph) -> BCIndex:
     """Per-label-group coreness: the graph's memoised decomposition."""

@@ -3,12 +3,12 @@
 One engine drives all BCC variants:
 
 * **Online mode** (``fast=False``): Algorithm 1 verbatim — full BFS
-  query distances every iteration, full butterfly recount (Algorithm 3)
+  query distances every iteration, full butterfly count (Algorithm 3)
   every iteration.
 * **LP mode** (``fast=True``): the Section-6 accelerations — incremental
   query-distance updates (Algorithm 5), leader-pair identification
   (Algorithm 6), and O(d²) leader butterfly-degree updates (Algorithm
-  7); full recounts happen only when a leader is deleted or drops
+  7); full counts happen only when a leader is deleted or drops
   below ``b``. Each query's distances and their max-combine ``qd`` are
   kept in distance-level buckets: after a deletion batch only the
   vertices beyond ``d_min`` are re-labeled and re-combined, and the
@@ -17,33 +17,37 @@ One engine drives all BCC variants:
 
 Both modes use bulk deletion (all vertices at the maximum query
 distance are removed per iteration), as all methods do in the paper's
-experiments. For m > 2 query labels the engine maintains one
-:class:`PairState` per label pair with cross edges and checks Def.-7
-cross-group connectivity instead of the single leader-pair condition
-(Algorithm 9). The loop itself is :func:`greedy_peel`, which the CTC
-and PSA baselines share with their own deletion step and
-:func:`farthest_layer` over Online-mode query distances. Vertices cut
-off from a query sit at distance ``INF``, so the loop peels them as the
-farthest layer and needs no component search.
+experiments. The engine consumes a :class:`~repro.core.model.Candidate`
+from Algorithm 2 (``find_g0_local`` / ``find_g0_spark``) and adopts its
+:class:`~repro.core.model.PairState` per label pair: the cross bipartite
+graph and χ that G0's feasibility check counted are the engine's first
+butterfly count. For m > 2 query labels there is one pair per label
+pair with cross edges, and the engine checks Def.-7 cross-group
+connectivity instead of the single leader-pair condition (Algorithm 9).
+The loop itself is :func:`greedy_peel`, which the CTC and PSA baselines
+share with their own deletion step and :func:`farthest_layer` over
+Online-mode query distances. Vertices cut off from a query sit at
+distance ``INF``, so the loop peels them as the farthest layer and needs
+no component search.
 
 Instrumentation (``BCCResult.stats``) backs Table 4: ``qdist_time``,
-``leader_time`` (Alg 6+7 / full-recount time), ``butterfly_counting``
-(number of Algorithm-3 invocations), ``iterations``, ``total_time``.
+``leader_time`` (Alg 6+7 / full-count time), ``butterfly_counting``
+(number of Algorithm-3 invocations after G0's check), ``iterations`` and
+``g0_size``; the entry points in ``search`` add ``g0_time`` and
+``total_time``.
 """
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..local.bfs import INF, bfs_distances
-from ..local.butterfly import Bipartite, butterfly_degrees
+from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
 from .fastdist import Buckets, bucket_levels, fast_update, rebucket
 from .leader import identify_leader, update_leader_on_delete
-from .model import BCCResult, InvalidQuery, groups_connected, leaders_clear
+from .model import BCCResult, Candidate, PairState, groups_connected, leaders_clear
 
 
 def farthest_layer(qd: Mapping[int, float]) -> Tuple[float, Set[int]]:
@@ -58,22 +62,20 @@ def greedy_peel(
     farthest: Callable[[], Tuple[float, Set[int]]],
     delete: Callable[[Set[int]], bool],
     *,
-    feasible: bool = True,
     max_iterations: int,
 ) -> Tuple[Optional[Set[int]], float, int]:
     """Algorithm 1's greedy loop, shared by BCC, CTC and PSA.
 
     ``farthest()`` returns the largest query distance of ``g`` (Def. 5)
-    and the layer of vertices at it. Each iteration records ``g`` as the
-    best snapshot if it is feasible and that distance is the smallest so
-    far, then bulk-deletes the layer. Vertices cut off from a query are
+    and the layer of vertices at it. ``g`` starts feasible. Each iteration
+    records ``g`` as the best snapshot if that distance is the smallest
+    so far, then bulk-deletes the layer. Vertices cut off from a query are
     at distance ``INF``, so they form the farthest layer and are peeled
     (never recorded) before any finite layer; the loop stops when a query
     is missing or itself in the ``INF`` layer (cut off from the others).
     ``delete(S)`` removes ``S`` from ``g``, restores the model's
     invariant (butterfly-core, k-truss or k-core) and returns whether
-    ``g`` is still feasible; the loop stops when it is not. ``feasible``
-    is the initial state.
+    ``g`` is still feasible; the loop stops when it is not.
 
     Returns ``(best_vertices or None, best_qd, iterations)``.
     """
@@ -87,71 +89,42 @@ def greedy_peel(
         dmax, layer = farthest()
         if dmax == INF and any(q in layer for q in queries):
             break
-        if feasible and dmax < best_qd:
+        if dmax < best_qd:
             best_qd = dmax
             best = g.vertices
         S = layer.difference(queries)
         if not S or dmax <= 0:
             break
-        feasible = delete(S)
-        if not feasible:
+        if not delete(S):
             break
     return best, best_qd, iterations
 
 
-@dataclass
-class PairState:
-    """Butterfly bookkeeping between the groups of two query labels."""
-
-    ia: int
-    ib: int
-    bp: Bipartite
-    chi: Dict[int, int] = field(default_factory=dict)
-    leaders: List[Optional[int]] = field(default_factory=lambda: [None, None])
-    leader_chi: List[int] = field(default_factory=lambda: [0, 0])
-    satisfied: bool = True
-
-    def side_vertices(self, side: int) -> Set[int]:
-        return self.bp.left if side == 0 else self.bp.right
-
-
 class RefinementEngine:
-    """Greedy diameter-shrinking refinement of a candidate BCC ``g0``.
+    """Greedy diameter-shrinking refinement of a candidate BCC.
 
-    ``chi`` optionally carries the butterfly degrees that Algorithm 2's
-    feasibility check already counted on ``g0``, per label pair ``(i, j)``
-    in query order (``find_g0_local(..., chi=...)`` fills it); those
-    pairs start from it instead of a fresh Algorithm-3 count. ``g0``
-    itself is not modified, and must not be until :meth:`run` returns.
+    Adopts ``candidate.pairs`` (and, in LP mode, identifies each satisfied
+    pair's leaders); their bipartite graphs are then mutated by the
+    deletions, so a candidate feeds one engine. The deletions run on a
+    copy of ``candidate.graph``; the answer is induced from the graph
+    itself, so it must not be modified until :meth:`run` returns.
     """
 
     def __init__(
         self,
-        g0: LocalGraph,
-        queries: Sequence[int],
-        ks: Sequence[int],
-        b: int,
+        candidate: Candidate,
         *,
         fast: bool = False,
-        rho: int = 3,
         max_iterations: int = 100_000,
-        chi: Optional[Mapping[Tuple[int, int], Dict[int, int]]] = None,
     ):
+        g0 = candidate.graph
         self.g0 = g0
         self.g = g0.copy()
-        self.g0_vertices = set(g0.vertices)
-        self.queries = [int(q) for q in queries]
-        missing = [q for q in self.queries if q not in g0]
-        if missing:
-            raise InvalidQuery(f"query vertices {missing} are not in the candidate graph")
-        self.labels = [g0.label(q) for q in self.queries]
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidQuery(f"query labels must differ, got {self.labels}")
-        self.k_of = dict(zip(self.labels, ks))
-        self.q_of = dict(zip(self.labels, self.queries))
-        self.b = int(b)
+        self.queries = candidate.queries
+        self.labels = candidate.labels
+        self.k_of = dict(zip(self.labels, candidate.ks))
+        self.b = candidate.b
         self.fast = fast
-        self.rho = rho
         self.max_iterations = max_iterations
         self.stats: Dict[str, float] = {
             "qdist_time": 0.0,
@@ -168,28 +141,13 @@ class RefinementEngine:
         self.hdeg: Dict[int, int] = {
             v: len(ns & by_label[self.g.labels[v]]) for v, ns in self.g.adj.items()
         }
-        # one PairState per label pair with cross edges in g0
-        self.pairs: List[PairState] = []
+        self.pairs: List[PairState] = candidate.pairs
         self.pairs_by_label: Dict[object, List[PairState]] = {l: [] for l in self.labels}
-        groups = [by_label[l] for l in self.labels]
-        for i, j in combinations(range(len(self.labels)), 2):
-            edges = [
-                (u, v) for u in groups[i] for v in self.g.adj[u] if v in groups[j]
-            ]
-            if len(self.labels) > 2 and not edges:
-                continue  # this label pair interacts only via others
-            ps = PairState(i, j, Bipartite(groups[i], groups[j], edges))
-            self.pairs.append(ps)
-            self.pairs_by_label[self.labels[i]].append(ps)
-            self.pairs_by_label[self.labels[j]].append(ps)
-        # initial butterfly count (unless Algorithm 2 handed it over)
-        # + (fast mode) leader identification
-        given = chi or {}
         for ps in self.pairs:
-            if (ps.ia, ps.ib) in given:
-                self._set_chi(ps, given[ps.ia, ps.ib])
-            else:
-                self._full_count(ps)
+            self.pairs_by_label[self.labels[ps.ia]].append(ps)
+            self.pairs_by_label[self.labels[ps.ib]].append(ps)
+            if fast and ps.satisfied:
+                self._identify_leaders(ps)
         # LP mode: one Algorithm-5 distance map per query with its level
         # buckets, and their max-combine qd with its own buckets (the top
         # bucket is the farthest layer); filled by the first full BFS
@@ -204,29 +162,23 @@ class RefinementEngine:
     def _full_count(self, ps: PairState) -> None:
         """Algorithm 3 on the pair's bipartite graph + leader refresh."""
         t = time.perf_counter()
-        chi = butterfly_degrees(ps.bp)
+        ps.chi = butterfly_degrees(ps.bp)
         self.stats["butterfly_counting"] += 1
+        ps.satisfied = leaders_clear(ps.chi, ps.bp.left, ps.bp.right, self.b)
         self.stats["leader_time"] += time.perf_counter() - t
-        self._set_chi(ps, chi)
-
-    def _set_chi(self, ps: PairState, chi: Dict[int, int]) -> None:
-        """Adopt a full count of the pair's butterfly degrees + leader refresh."""
-        t = time.perf_counter()
-        ps.chi = chi
-        ps.satisfied = leaders_clear(chi, ps.bp.left, ps.bp.right, self.b)
         if self.fast and ps.satisfied:
-            for side in (0, 1):
-                p = self._identify_leader(ps, side)
-                ps.leaders[side] = p
-                ps.leader_chi[side] = ps.chi.get(p, 0)
-        self.stats["leader_time"] += time.perf_counter() - t
+            self._identify_leaders(ps)
 
-    def _identify_leader(self, ps: PairState, side: int) -> int:
-        """Algorithm 6: a leader with a large butterfly degree near the query."""
-        lab = self.labels[ps.ia if side == 0 else ps.ib]
-        return identify_leader(
-            self.g, self.q_of[lab], ps.chi, ps.side_vertices(side), self.b, self.rho
-        )
+    def _identify_leaders(self, ps: PairState) -> None:
+        """Algorithm 6 on both sides: a leader with a large butterfly
+        degree near each query."""
+        t = time.perf_counter()
+        for side in (0, 1):
+            q = self.queries[ps.ia if side == 0 else ps.ib]
+            p = identify_leader(self.g, q, ps.chi, ps.side_vertices(side), self.b)
+            ps.leaders[side] = p
+            ps.leader_chi[side] = ps.chi.get(p, 0)
+        self.stats["leader_time"] += time.perf_counter() - t
 
     def _leader_update_on_delete(self, ps: PairState, v: int) -> None:
         """Algorithm 7 for both leaders of ``ps`` before ``v`` leaves ``bp``."""
@@ -277,24 +229,23 @@ class RefinementEngine:
         self.stats["leader_time"] += t_leader
         return gone
 
-    def _check_feasible(self, recount: bool = True) -> bool:
+    def _check_feasible(self) -> bool:
         """Algorithm 4's butterfly check / Def.-7 connectivity (Alg 9).
 
-        With ``recount`` the pairs are refreshed first (a full count
-        unless, in fast mode, both leaders still witness ``b``).
+        Each pair is refreshed first: a full count unless, in fast mode,
+        both leaders still witness ``b``.
         """
-        if recount:
-            for ps in self.pairs:
-                witnessed = self.fast and all(
-                    ps.leaders[s] is not None
-                    and ps.leaders[s] in self.g
-                    and ps.leader_chi[s] >= self.b
-                    for s in (0, 1)
-                )
-                if witnessed:
-                    ps.satisfied = True
-                else:
-                    self._full_count(ps)
+        for ps in self.pairs:
+            witnessed = self.fast and all(
+                ps.leaders[s] is not None
+                and ps.leaders[s] in self.g
+                and ps.leader_chi[s] >= self.b
+                for s in (0, 1)
+            )
+            if witnessed:
+                ps.satisfied = True
+            else:
+                self._full_count(ps)
         return groups_connected(
             len(self.labels), [(ps.ia, ps.ib) for ps in self.pairs if ps.satisfied]
         )
@@ -360,19 +311,13 @@ class RefinementEngine:
     # ------------------------------------------------------------------
     def run(self) -> Optional[BCCResult]:
         """Run the greedy refinement; return the best BCC snapshot or None."""
-        t0 = time.perf_counter()
-        # Def.-7 connectivity is the feasibility criterion; individual
-        # unsatisfied pairs are fine for m > 2 as long as a cross-group
-        # path connects every label pair.
         best, best_qd, self.stats["iterations"] = greedy_peel(
             self.g,
             self.queries,
             self._farthest,
             self._delete,
-            feasible=self._check_feasible(recount=False),
             max_iterations=self.max_iterations,
         )
-        self.stats["total_time"] = time.perf_counter() - t0
         if best is None:
             return None
         return BCCResult(self.g0.induced(best), self.queries, best_qd, dict(self.stats))

@@ -14,9 +14,13 @@ filter plus one BFS over the query's own label.
   experiment loops, where thousands of G0 extractions would otherwise
   each pay Spark job-scheduling latency (see DESIGN.md section 2).
 
-Both end in the same driver-side feasibility check, which generalizes
-Algorithm 2 from 2 to m query labels: for m > 2 it is cross-group
-connectivity (Def. 7) instead of a single leader-pair check.
+Both end in the same driver-side feasibility check,
+:func:`feasible_candidate`, which generalizes Algorithm 2 from 2 to m
+query labels: for m > 2 it is cross-group connectivity (Def. 7) instead
+of a single leader-pair check. It returns a :class:`Candidate` holding
+the pair states it built (cross bipartite graph, χ, satisfied), and the
+refinement engine starts from them: a query builds each label pair's
+bipartite graph and χ here only.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from collections import deque
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set
 
 from pyspark.sql import functions as F
 
@@ -33,9 +37,7 @@ from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
-from .model import cross_bipartite, groups_connected, leaders_clear
-
-PairChi = Dict[Tuple[int, int], Dict[int, int]]
+from .model import Candidate, PairState, cross_bipartite, groups_connected, leaders_clear
 
 
 def _labels_of(queries: Sequence[int], label_lookup) -> Optional[List[object]]:
@@ -45,27 +47,33 @@ def _labels_of(queries: Sequence[int], label_lookup) -> Optional[List[object]]:
     return labs
 
 
-def _connectivity_ok(
-    g0: LocalGraph, labels: Sequence[object], b: int, chi: Optional[PairChi] = None
-) -> bool:
-    """Feasibility: leader-pair check (m=2) / cross-group connectivity (m>2).
+def feasible_candidate(
+    g0: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int
+) -> Optional[Candidate]:
+    """Algorithm 2's butterfly check on ``g0``, whose query vertices carry
+    distinct labels.
 
-    The butterfly degrees counted per label pair ``(i, j)`` are stored
-    in ``chi`` when given.
+    Builds one :class:`PairState` per label pair ``(i, j)`` (query order;
+    for m > 2 only pairs with cross edges) and counts its χ (Algorithm 3).
+    ``g0`` is feasible if the satisfied pairs connect every label group:
+    the leader-pair check for m = 2, Def.-7 connectivity for m > 2.
+    Returns the :class:`Candidate` holding those pairs, or ``None``.
     """
+    labels = [g0.label(q) for q in queries]
     groups = [g0.vertices_with_label(lab) for lab in labels]
     m = len(labels)
-    links = []
+    pairs: List[PairState] = []
     for i, j in combinations(range(m), 2):
         bp = cross_bipartite(g0, groups[i], groups[j])
-        if m > 2 and not any(bp.adj[v] for v in bp.adj):
+        if m > 2 and not any(bp.adj.values()):
             continue
-        pair_chi = butterfly_degrees(bp)
-        if chi is not None:
-            chi[i, j] = pair_chi
-        if leaders_clear(pair_chi, groups[i], groups[j], b):
-            links.append((i, j))
-    return groups_connected(m, links)
+        chi = butterfly_degrees(bp)
+        pairs.append(
+            PairState(i, j, bp, chi, satisfied=leaders_clear(chi, bp.left, bp.right, b))
+        )
+    if not groups_connected(m, [(ps.ia, ps.ib) for ps in pairs if ps.satisfied]):
+        return None
+    return Candidate(g0, [int(q) for q in queries], labels, list(ks), int(b), pairs)
 
 
 def _core_component(g: LocalGraph, core: Mapping[int, int], q: int, k: int) -> Set[int]:
@@ -89,17 +97,14 @@ def find_g0_local(
     queries: Sequence[int],
     ks: Sequence[int],
     b: int,
-    *,
-    chi: Optional[PairChi] = None,
-) -> Optional[LocalGraph]:
+) -> Optional[Candidate]:
     """Driver-local Algorithm 2 (generalized to m labels).
 
     Returns the candidate ``G0 = L ∪ B ∪ R`` (induced subgraph on the
-    union of the per-label core components containing each query), or
-    ``None`` if any core/butterfly condition already fails. When ``chi``
-    is given, the feasibility check's butterfly degrees are stored in it
-    per label pair ``(i, j)`` (query order), for ``RefinementEngine`` to
-    reuse instead of counting them again.
+    union of the per-label core components containing each query) with
+    the pair states of its feasibility check, or ``None`` if a query is
+    unknown, two queries share a label, or any core/butterfly condition
+    already fails.
     """
     if any(q not in g for q in queries):
         return None
@@ -112,10 +117,7 @@ def find_g0_local(
     union: set = set()
     for q, k in zip(queries, ks):
         union |= _core_component(g, core, q, k)
-    g0 = g.induced(union)
-    if not _connectivity_ok(g0, labs, b, chi):
-        return None
-    return g0
+    return feasible_candidate(g.induced(union), queries, ks, b)
 
 
 def find_g0_spark(
@@ -123,9 +125,7 @@ def find_g0_spark(
     queries: Sequence[int],
     ks: Sequence[int],
     b: int,
-    *,
-    chi: Optional[PairChi] = None,
-) -> Optional[LocalGraph]:
+) -> Optional[Candidate]:
     """Distributed Algorithm 2: the graph-sized passes stay in Spark.
 
     Keeps the vertices with ``label = l_i`` and per-label coreness
@@ -133,7 +133,7 @@ def find_g0_spark(
     runs one BFS from all queries over the homogeneous edges among them.
     The labels differ, so the reached set is the union of the per-query
     core components. It is collected, and the same feasibility check as
-    :func:`find_g0_local` runs on the driver (storing χ in ``chi``).
+    :func:`find_g0_local` runs on the driver.
     """
     core = sg.label_coreness()
     rows = core.where(F.col("id").isin([int(q) for q in queries])).collect()
@@ -155,7 +155,4 @@ def find_g0_spark(
         )
     )
     reached = bfs_distances(sg.induced(keep).homogeneous(), queries)
-    g0 = sg.induced(reached).to_local()
-    if not _connectivity_ok(g0, labs, b, chi):
-        return None
-    return g0
+    return feasible_candidate(sg.induced(reached).to_local(), queries, ks, b)

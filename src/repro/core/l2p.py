@@ -13,8 +13,8 @@ Query processing:
 2. expand the path in BFS order, admitting only vertices of the query
    labels whose indexed coreness is at least the path minimum for their
    label, until the candidate exceeds ``eta`` vertices;
-3. extract a connected BCC of the candidate (Algorithm 2 on G_t) and
-   refine it with the LP engine (bulk deletion + Algorithms 5-7).
+3. run LP-BCC on the candidate graph G_t (Algorithm 2 on G_t, then the
+   LP engine's bulk deletion + Algorithms 5-7).
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
 from .bcindex import BCIndex, build_bcindex_local
-from .engine import RefinementEngine
-from .g0 import PairChi, find_g0_local
 from .model import BCCResult
+from .search import lp_bcc
 
 
 def butterfly_core_path(
@@ -117,9 +116,6 @@ def l2p_bcc(
     *,
     index: Optional[BCIndex] = None,
     eta: int = 400,
-    gamma1: float = 0.5,
-    gamma2: float = 0.5,
-    rho: int = 3,
 ) -> Optional[BCCResult]:
     """L²P-BCC search. ``index`` amortises the BCindex across queries
     (pass the result of ``build_bcindex_local``/``build_bcindex_spark``);
@@ -128,6 +124,9 @@ def l2p_bcc(
     ``ks=None`` activates the paper's automatic setting: the largest
     core on each side of the candidate graph that still contains the
     query vertex (i.e. the query's coreness within G_t).
+
+    ``total_time`` is the wall time of the whole call, index lookups,
+    path search and expansion included.
     """
     t0 = time.perf_counter()
     if any(q not in g for q in queries):
@@ -152,9 +151,7 @@ def l2p_bcc(
     # union of butterfly-core paths from q0 to every other query
     path_union: List[int] = []
     for qt in queries[1:]:
-        p = butterfly_core_path(
-            idx, chi, chi_max, allowed, queries[0], qt, gamma1, gamma2
-        )
+        p = butterfly_core_path(idx, chi, chi_max, allowed, queries[0], qt)
         if p is None:
             return None
         path_union.extend(v for v in p if v not in path_union)
@@ -163,18 +160,13 @@ def l2p_bcc(
     g_t = g.induced(cand)
 
     # effective core parameters on the candidate (Algorithm 8 line 4);
-    # G0 below reads the same memoised coreness of G_t
+    # LP-BCC's G0 reads the same memoised coreness of G_t
     core_t = label_coreness(g_t)
     eff_ks = [core_t.get(q, 0) for q in queries]
     if ks is not None:
         eff_ks = [min(int(k), c) for k, c in zip(ks, eff_ks)]
 
-    chi: PairChi = {}
-    g0 = find_g0_local(g_t, queries, eff_ks, b, chi=chi)
-    if g0 is None:
-        return None
-    engine = RefinementEngine(g0, queries, eff_ks, b, fast=True, rho=rho, chi=chi)
-    res = engine.run()
+    res = lp_bcc(g_t, queries, eff_ks, b)
     if res is not None:
         res.stats["candidate_size"] = len(cand)
         res.stats["eff_ks"] = list(eff_ks)

@@ -56,7 +56,7 @@ def identify_leader(
     If neither the query nor any vertex within rho hops clears the
     shrinking threshold, the best in-range vertex with chi >= b is
     returned (the paper's line 16 returns the query itself, which would
-    force a full recount on every subsequent iteration).
+    force a full butterfly count on every subsequent iteration).
     """
     b_max = max((chi.get(v, 0) for v in side_vertices), default=0)
     p = q

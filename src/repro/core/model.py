@@ -43,6 +43,46 @@ class BCCResult:
         return local_diameter(self.graph)
 
 
+@dataclass
+class PairState:
+    """Butterfly bookkeeping between the groups of query labels ``ia`` and
+    ``ib`` (indices in query order): their cross bipartite graph, its
+    butterfly degrees ``chi``, whether a leader on each side clears ``b``
+    (Def. 4 condition 4), and the engine's LP-mode leaders."""
+
+    ia: int
+    ib: int
+    bp: Bipartite
+    chi: Dict[int, int] = field(default_factory=dict)
+    leaders: List[Optional[int]] = field(default_factory=lambda: [None, None])
+    leader_chi: List[int] = field(default_factory=lambda: [0, 0])
+    satisfied: bool = True
+
+    def side_vertices(self, side: int) -> Set[int]:
+        return self.bp.left if side == 0 else self.bp.right
+
+
+@dataclass
+class Candidate:
+    """A feasible candidate BCC ``G0`` (Algorithm 2's output) and the
+    pair states its feasibility check built.
+
+    ``queries`` are in the graph with pairwise distinct ``labels``, and
+    the satisfied ``pairs`` connect every label group (Def. 7), so the
+    candidate is feasible by construction. ``pairs`` holds one state per
+    label pair with cross edges (every pair when m = 2). The
+    :class:`~repro.core.engine.RefinementEngine` that consumes a
+    candidate mutates those bipartites, so a candidate feeds one engine.
+    """
+
+    graph: LocalGraph
+    queries: List[int]
+    labels: List[object]
+    ks: List[int]
+    b: int
+    pairs: List[PairState]
+
+
 def group_partition(g: LocalGraph, labels: Sequence[object]) -> List[Set[int]]:
     """Vertex sets per label, in label order."""
     return [g.vertices_with_label(lab) for lab in labels]

@@ -4,7 +4,8 @@
 Algorithm 4's maintenance); ``lp_bcc`` is the same framework equipped
 with the Section-6 accelerations (Algorithms 5, 6, 7). Both accept
 either a driver-local graph or a Spark graph for the G0 phase; the
-refinement runs on the collected candidate either way (DESIGN.md §2).
+refinement runs on the collected candidate either way (DESIGN.md §2),
+starting from the pair states of Algorithm 2's feasibility check.
 
 For m > 2 queries these same entry points perform multi-labeled BCC
 search (Algorithm 9); the engine switches the feasibility check to
@@ -19,7 +20,7 @@ from ..graphlib.labeled import SparkLabeledGraph
 from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
 from .engine import RefinementEngine
-from .g0 import PairChi, find_g0_local, find_g0_spark
+from .g0 import find_g0_local, find_g0_spark
 from .model import BCCResult, InvalidQuery
 
 GraphLike = Union[LocalGraph, SparkLabeledGraph]
@@ -36,31 +37,21 @@ def default_ks(g: LocalGraph, queries: Sequence[int]) -> list[int]:
     return [core[q] for q in queries]
 
 
-def _find_g0(g: GraphLike, queries, ks, b, chi: PairChi) -> Optional[LocalGraph]:
-    find = find_g0_spark if isinstance(g, SparkLabeledGraph) else find_g0_local
-    return find(g, queries, ks, b, chi=chi)
-
-
 def _search(
-    g: GraphLike,
-    queries: Sequence[int],
-    ks: Sequence[int],
-    b: int,
-    *,
-    fast: bool,
-    rho: int = 3,
+    g: GraphLike, queries: Sequence[int], ks: Sequence[int], b: int, *, fast: bool
 ) -> Optional[BCCResult]:
+    """Algorithm 2, then the engine on its candidate. ``total_time`` is the
+    wall time of the whole call, ``g0_time`` Algorithm 2's part of it."""
     t0 = time.perf_counter()
-    chi: PairChi = {}
-    g0 = _find_g0(g, queries, ks, b, chi)
+    find = find_g0_spark if isinstance(g, SparkLabeledGraph) else find_g0_local
+    candidate = find(g, queries, ks, b)
     g0_time = time.perf_counter() - t0
-    if g0 is None:
+    if candidate is None:
         return None
-    engine = RefinementEngine(g0, queries, ks, b, fast=fast, rho=rho, chi=chi)
-    res = engine.run()
+    res = RefinementEngine(candidate, fast=fast).run()
     if res is not None:
         res.stats["g0_time"] = g0_time
-        res.stats["total_time"] = res.stats.get("total_time", 0.0) + g0_time
+        res.stats["total_time"] = time.perf_counter() - t0
     return res
 
 
@@ -72,7 +63,7 @@ def online_bcc(
 
 
 def lp_bcc(
-    g: GraphLike, queries: Sequence[int], ks: Sequence[int], b: int, rho: int = 3
+    g: GraphLike, queries: Sequence[int], ks: Sequence[int], b: int
 ) -> Optional[BCCResult]:
     """Online-BCC + fast query distances (Alg 5) + leader pair (Algs 6-7)."""
-    return _search(g, queries, ks, b, fast=True, rho=rho)
+    return _search(g, queries, ks, b, fast=True)

@@ -65,7 +65,7 @@ DATASET_PARAMS: Dict[str, dict] = {
 }
 
 # Table-4 breakdown instance: the paper measures Table 4 on full DBLP
-# (~1M edges), where per-iteration butterfly recounting dominates
+# (~1M edges), where per-iteration butterfly counting dominates
 # Online-BCC. This larger DBLP-like instance restores that regime —
 # candidate graphs of a few thousand vertices with dense cross edges.
 BREAKDOWN_PARAMS: Dict[str, dict] = {

@@ -112,9 +112,6 @@ class LocalGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> Set[int]:
-        return self.adj[v]
-
     def label(self, v: int) -> object:
         return self.labels[v]
 
@@ -157,21 +154,6 @@ class LocalGraph:
         g.adj = {v: self.adj[v] & keep for v in keep}
         g.labels = {v: self.labels[v] for v in keep}
         return g
-
-    def homogeneous_induced(self, lab: object) -> "LocalGraph":
-        """Subgraph induced by the vertices of one label (homogeneous edges only)."""
-        return self.induced(self.vertices_with_label(lab))
-
-    def cross_edges(self, lab_a: object, lab_b: object) -> List[Edge]:
-        """Heterogeneous edges between two label groups, canonicalised."""
-        a = self.vertices_with_label(lab_a)
-        b = self.vertices_with_label(lab_b)
-        out = []
-        for u in a:
-            for v in self.adj[u]:
-                if v in b:
-                    out.append(canon(u, v))
-        return sorted(set(out))
 
     # -- traversal ------------------------------------------------------
     def component_of(self, v: int) -> Set[int]:

@@ -31,11 +31,6 @@ def kcore_vertices(g: LocalGraph, k: int) -> Set[int]:
     return alive
 
 
-def kcore(g: LocalGraph, k: int) -> LocalGraph:
-    """The maximal k-core of ``g`` as an induced subgraph."""
-    return g.induced(kcore_vertices(g, k))
-
-
 def peel_to_kcore(g: LocalGraph, k: int) -> Set[int]:
     """Core maintenance: restrict ``g`` (in place) to its k-core.
 
@@ -108,7 +103,7 @@ def label_coreness(g: LocalGraph) -> Mapping[int, int]:
 
     One decomposition over the homogeneous edges only: the label groups
     are disconnected from each other there, so this equals ``coreness``
-    of each ``g.homogeneous_induced(label)``, and the k-core of a group
+    of each label group's induced subgraph, and the k-core of a group
     is ``{v : delta[v] >= k}``. Memoised on ``g`` until its next
     mutation; every caller shares the one read-only mapping.
     """
@@ -120,9 +115,3 @@ def label_coreness(g: LocalGraph) -> Mapping[int, int]:
             )
         )
     return g.label_core_memo
-
-
-def max_coreness(g: LocalGraph) -> int:
-    """k_max of the graph (0 for an empty graph)."""
-    c = coreness(g)
-    return max(c.values(), default=0)

@@ -1,6 +1,6 @@
 """Synthetic labeled graphs for the BCC reproduction.
 
-Three families:
+Two families, and their conversions:
 
 1. **Paper fixtures** — deterministic reconstructions of the worked
    examples: ``figure2_graph`` (the (4,3,1)-BCC of Figures 1-2) and
@@ -15,7 +15,8 @@ Three families:
    plus leader cliques that guarantee butterflies, plus ~10% global
    noise cross edges and a sparse random background graph.
 
-3. Conversion helpers between pandas frames, ``LocalGraph`` and Spark.
+3. ``PlantedGraph.to_local`` / ``to_spark`` convert a planted graph to a
+   ``LocalGraph`` or to Spark frames.
 
 All generators are deterministic in ``seed``.
 """
@@ -139,12 +140,6 @@ class PlantedGraph:
             spark.createDataFrame(self.vertices),
             spark.createDataFrame(self.edges),
         )
-
-    def community_frame(self) -> pd.DataFrame:
-        rows = [
-            (cid, int(v)) for cid, vs in self.communities.items() for v in vs
-        ]
-        return pd.DataFrame(rows, columns=["community", "id"])
 
 
 def _dense_group(rng: np.random.Generator, ids: Sequence[int], p: float) -> List[Tuple[int, int]]:
@@ -314,12 +309,3 @@ def planted_bcc_graph(
     edf = pd.DataFrame(sorted(edges), columns=["src", "dst"])
     return PlantedGraph(vdf, edf, communities, leaders)
 
-
-# ---------------------------------------------------------------------------
-# Spark conversion helpers
-# ---------------------------------------------------------------------------
-
-def local_to_spark(spark: SparkSession, g: LocalGraph) -> Tuple[DataFrame, DataFrame]:
-    """LocalGraph -> (vertices DF (id,label), edges DF (src,dst))."""
-    vdf, edf = g.to_pandas()
-    return spark.createDataFrame(vdf), spark.createDataFrame(edf)

@@ -7,7 +7,9 @@ fast implementations are checked against on small inputs.
 ``heap_coreness``, ``peeled_g0``, ``old_ctc`` and ``old_psa`` keep the
 implementations that a faster or shared path replaced, as differential
 references for it; ``butterfly_degree_of`` and ``total_butterflies``
-are single-vertex and whole-graph butterfly counts that only tests need.
+are single-vertex and whole-graph butterfly counts, and
+``homogeneous_induced`` and ``cross_edges`` local label-group views,
+that only tests need.
 """
 from __future__ import annotations
 
@@ -157,13 +159,27 @@ def heap_coreness(g: LocalGraph) -> Dict[int, int]:
     return core
 
 
+def homogeneous_induced(g: LocalGraph, lab: object) -> LocalGraph:
+    """Subgraph induced by the vertices of one label (homogeneous edges only)."""
+    return g.induced(g.vertices_with_label(lab))
+
+
+def cross_edges(g: LocalGraph, lab_a: object, lab_b: object) -> List[Tuple[int, int]]:
+    """Heterogeneous edges between two label groups, canonicalised and sorted."""
+    b = g.vertices_with_label(lab_b)
+    return sorted(
+        {canon(u, v) for u in g.vertices_with_label(lab_a) for v in g.adj[u] if v in b}
+    )
+
+
 def peeled_g0(
     g: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int
 ) -> Optional[LocalGraph]:
     """Algorithm 2 by peeling each query's label group to its k-core and
     keeping the query's component (the construction ``find_g0_local``
-    replaced with a coreness filter), then the same feasibility check."""
-    from repro.core.g0 import _connectivity_ok
+    replaced with a coreness filter), then the same feasibility check.
+    Returns the candidate graph or ``None``."""
+    from repro.core.g0 import feasible_candidate
     from repro.local.kcore import kcore_vertices
 
     if any(q not in g for q in queries):
@@ -173,13 +189,13 @@ def peeled_g0(
         return None
     union: Set[int] = set()
     for q, lab, k in zip(queries, labs, ks):
-        sub = g.homogeneous_induced(lab)
+        sub = homogeneous_induced(g, lab)
         core_vs = kcore_vertices(sub, k)
         if q not in core_vs:
             return None
         union |= sub.induced(core_vs).component_of(q)
     g0 = g.induced(union)
-    return g0 if _connectivity_ok(g0, labs, b) else None
+    return g0 if feasible_candidate(g0, queries, ks, b) is not None else None
 
 
 def old_ctc(g: LocalGraph, queries, max_iterations: int = 10_000):

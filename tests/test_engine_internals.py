@@ -5,7 +5,7 @@ import pytest
 from repro.core import default_ks
 from repro.core.engine import PairState, RefinementEngine, farthest_layer
 from repro.core.fastdist import bucket_levels
-from repro.core.g0 import find_g0_local
+from repro.core.g0 import feasible_candidate, find_g0_local
 from repro.local.bfs import INF, query_distances
 from repro.local.butterfly import Bipartite, butterfly_degrees
 from repro.local.graph import LocalGraph
@@ -15,9 +15,7 @@ from tests.helpers import random_labeled_graph
 
 
 def fig2_engine(fast=False):
-    g = figure2_graph()
-    g0 = find_g0_local(g, [0, 10], [4, 3], 1)
-    return RefinementEngine(g0, [0, 10], [4, 3], 1, fast=fast)
+    return RefinementEngine(find_g0_local(figure2_graph(), [0, 10], [4, 3], 1), fast=fast)
 
 
 def test_initial_pair_state_satisfied():
@@ -79,9 +77,7 @@ def test_run_twice_is_error_free_via_fresh_engines():
 
 
 def test_max_iterations_guard():
-    g = figure2_graph()
-    g0 = find_g0_local(g, [0, 10], [4, 3], 1)
-    eng = RefinementEngine(g0, [0, 10], [4, 3], 1, max_iterations=1)
+    eng = RefinementEngine(find_g0_local(figure2_graph(), [0, 10], [4, 3], 1), max_iterations=1)
     res = eng.run()
     # one iteration still records the initial feasible snapshot
     assert res is not None
@@ -101,10 +97,10 @@ def test_m3_pairs_without_cross_edges_skipped():
     )
     g = pg.to_local()
     Q = [grp[0] for grp in pg.leaders[0]]
-    g0 = find_g0_local(g, Q, [2, 2, 2], 1)
-    if g0 is None:
+    cand = find_g0_local(g, Q, [2, 2, 2], 1)
+    if cand is None:
         pytest.skip("no candidate for this draw")
-    eng = RefinementEngine(g0, Q, [2, 2, 2], 1)
+    eng = RefinementEngine(cand)
     # pairs only exist for label pairs with cross edges (consecutive groups)
     assert 1 <= len(eng.pairs) <= 3
 
@@ -116,10 +112,11 @@ def test_snapshot_qdist_decreases_monotonically():
     from repro.core import default_ks
 
     ks = default_ks(g, [ql, qr])
-    g0 = find_g0_local(g, [ql, qr], ks, 1)
-    if g0 is None:
+    cand = find_g0_local(g, [ql, qr], ks, 1)
+    if cand is None:
         pytest.skip("no candidate")
-    eng = RefinementEngine(g0, [ql, qr], ks, 1)
+    g0 = cand.graph
+    eng = RefinementEngine(cand)
     res = eng.run()
     assert res is not None
     # the returned snapshot is at most the size of g0 and has qdist <=
@@ -134,10 +131,10 @@ def test_snapshot_qdist_decreases_monotonically():
 def test_hdeg_counts_other_label_groups():
     """A vertex of a non-query label keeps its own homogeneous degree, so
     deleting its same-label neighbour does not fail."""
-    g0 = find_g0_local(figure2_graph(), [0, 10], [4, 3], 1)
-    g0.add_edge(500, 501, "C", "C")
-    g0.add_edge(500, 1, "C", g0.label(1))
-    eng = RefinementEngine(g0, [0, 10], [4, 3], 1, fast=True)
+    cand = find_g0_local(figure2_graph(), [0, 10], [4, 3], 1)
+    cand.graph.add_edge(500, 501, "C", "C")
+    cand.graph.add_edge(500, 1, "C", cand.graph.label(1))
+    eng = RefinementEngine(cand, fast=True)
     assert eng.hdeg[500] == eng.hdeg[501] == 1
     assert eng._delete_and_maintain({501}) == [501]
     assert eng.hdeg[500] == 0 and 500 in eng.g
@@ -175,7 +172,7 @@ def planted_candidate(seed):
     g = pg.to_local()
     Q = [pg.leaders[0][0][0], pg.leaders[0][1][0]]
     ks = default_ks(g, Q)
-    return find_g0_local(g, Q, ks, 1), Q, ks
+    return find_g0_local(g, Q, ks, 1).graph, Q, ks
 
 
 @pytest.mark.parametrize(
@@ -185,7 +182,7 @@ def test_combined_top_layer_matches_full_bfs(make, seed):
     """LP mode's maintained qd, its buckets and their top layer equal a
     fresh Def.-5 computation after every deletion batch."""
     g0, Q, ks = make(seed)
-    eng = RefinementEngine(g0, Q, ks, 1, fast=True)
+    eng = RefinementEngine(feasible_candidate(g0, Q, ks, 1), fast=True)
     while all(q in eng.g for q in Q):
         dmax, layer = eng._farthest()
         full = query_distances(eng.g, Q)
@@ -203,7 +200,7 @@ def test_lp_equals_online_when_cascades_cut_off(seed):
     """The cut-off piece is peeled as the INF layer in both modes, and LP
     returns what Online does."""
     g0, Q, ks = cut_off_candidate(seed)
-    lp = RefinementEngine(g0, Q, ks, 1, fast=True)
+    lp = RefinementEngine(feasible_candidate(g0, Q, ks, 1), fast=True)
     layers = []
     farthest = lp._farthest
 
@@ -213,7 +210,7 @@ def test_lp_equals_online_when_cascades_cut_off(seed):
 
     lp._farthest = spy
     got = lp.run()
-    want = RefinementEngine(g0, Q, ks, 1, fast=False).run()
+    want = RefinementEngine(feasible_candidate(g0, Q, ks, 1), fast=False).run()
     assert any(d == INF and layer.isdisjoint(Q) for d, layer in layers)
     assert got is not None and want is not None
     assert got.vertices == want.vertices

@@ -3,20 +3,22 @@
 Differential checks against the implementations they replaced (oracles
 in ``tests.helpers``): bucket ``coreness`` vs the lazy heap,
 ``label_coreness`` vs per-label decomposition, the coreness-filter
-``find_g0_local`` vs per-label peeling, and an engine that adopts G0's
-feasibility count vs one that counts it itself.
+``find_g0_local`` vs per-label peeling, and the Algorithm-3 calls of a
+search: one per label pair in G0's check, then only the engine's
+recorded ones.
 """
 from itertools import product
 
 import pytest
 
-from repro.core import InvalidQuery, default_ks
-from repro.core.engine import RefinementEngine
+from repro.core import InvalidQuery, default_ks, lp_bcc, online_bcc
+from repro.core import engine as engine_mod
+from repro.core import g0 as g0_mod
 from repro.core.g0 import find_g0_local
 from repro.local.kcore import coreness, label_coreness
 from repro.synth_graphs import FIG3_IDS, figure2_graph, figure3_graph, planted_bcc_graph
 
-from tests.helpers import heap_coreness, peeled_g0, random_labeled_graph
+from tests.helpers import heap_coreness, homogeneous_induced, peeled_g0, random_labeled_graph
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,7 @@ def graphs(planted_small_local):
 def per_label_heap_coreness(g):
     out = {}
     for lab in g.label_set():
-        out.update(heap_coreness(g.homogeneous_induced(lab)))
+        out.update(heap_coreness(homogeneous_induced(g, lab)))
     return out
 
 
@@ -59,9 +61,10 @@ def _query_tuples(g, per_graph=4):
     return out
 
 
-def _same_graph(a, b):
-    if a is None or b is None:
-        return a is None and b is None
+def _same_graph(cand, b):
+    if cand is None or b is None:
+        return cand is None and b is None
+    a = cand.graph
     return a.vertices == b.vertices and sorted(a.edges()) == sorted(b.edges())
 
 
@@ -129,12 +132,6 @@ def test_default_ks_unknown_vertex_is_invalid_query():
         default_ks(figure2_graph(), [0, 999])
 
 
-def test_engine_query_missing_from_g0_is_invalid_query():
-    g0 = find_g0_local(figure2_graph(), [0, 10], [4, 3], 1)
-    with pytest.raises(InvalidQuery):
-        RefinementEngine(g0, [0, 999], [4, 3], 1)
-
-
 def _engine_cases(planted):
     """(graph, queries, ks) with a feasible G0: m = 2 on the Figure-2
     graph and ``planted_small``, m = 3 on a three-label planted graph."""
@@ -150,20 +147,31 @@ def _engine_cases(planted):
 
 
 @pytest.mark.parametrize("fast", [False, True])
-def test_engine_reuses_g0_chi(planted_small, fast):
+def test_engine_reuses_g0_chi(planted_small, monkeypatch, fast):
+    """A search counts butterflies once per label pair in G0's check and
+    then only where the engine records a count: the engine starts from
+    the check's pair states."""
+    calls = {"g0": 0, "engine": 0}
+
+    def counting(mod, key):
+        count = mod.butterfly_degrees
+
+        def wrapped(bp):
+            calls[key] += 1
+            return count(bp)
+
+        monkeypatch.setattr(mod, "butterfly_degrees", wrapped)
+
+    counting(g0_mod, "g0")
+    counting(engine_mod, "engine")
+    search = lp_bcc if fast else online_bcc
     ran = {2: 0, 3: 0}
     for g, queries, ks in _engine_cases(planted_small):
-        chi = {}
-        g0 = find_g0_local(g, queries, ks, 1, chi=chi)
-        handed = RefinementEngine(g0, queries, ks, 1, fast=fast, chi=chi)
-        counted = RefinementEngine(g0, queries, ks, 1, fast=fast)
-        saved = len(handed.pairs)
-        assert saved == len(chi) >= 1
-        for a, c in zip(handed.pairs, counted.pairs):
-            assert (a.chi, a.satisfied, a.leaders) == (c.chi, c.satisfied, c.leaders)
-        ra, rc = handed.run(), counted.run()
-        assert ra is not None and rc is not None
-        assert (ra.vertices, ra.qdist) == (rc.vertices, rc.qdist)
-        assert ra.stats["butterfly_counting"] == rc.stats["butterfly_counting"] - saved
+        pairs = len(find_g0_local(g, queries, ks, 1).pairs)
+        assert pairs >= 1
+        calls.update(g0=0, engine=0)
+        res = search(g, queries, ks, 1)
+        assert res is not None
+        assert calls == {"g0": pairs, "engine": res.stats["butterfly_counting"]}
         ran[len(queries)] += 1
     assert ran[2] >= 3 and ran[3] >= 2

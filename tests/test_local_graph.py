@@ -4,7 +4,7 @@ import pytest
 
 from repro.local.graph import LocalGraph, canon
 
-from tests.helpers import random_labeled_graph
+from tests.helpers import cross_edges, homogeneous_induced, random_labeled_graph
 
 
 def small() -> LocalGraph:
@@ -40,7 +40,7 @@ def test_parallel_edges_collapse():
 def test_degree_and_neighbors():
     g = small()
     assert g.degree(3) == 3
-    assert g.neighbors(3) == {1, 2, 4}
+    assert g.adj[3] == {1, 2, 4}
     assert g.degree(7) == 0
 
 
@@ -61,7 +61,7 @@ def test_remove_vertex():
     g = small()
     g.remove_vertex(3)
     assert 3 not in g
-    assert g.neighbors(1) == {2}
+    assert g.adj[1] == {2}
     assert g.num_edges() == 2
 
 
@@ -76,7 +76,7 @@ def test_copy_is_independent():
     h = g.copy()
     h.remove_vertex(1)
     assert 1 in g and 1 not in h
-    assert g.neighbors(2) == {1, 3}
+    assert g.adj[2] == {1, 3}
 
 
 def test_induced_subgraph():
@@ -96,15 +96,15 @@ def test_induced_ignores_unknown_ids():
 
 def test_homogeneous_induced():
     g = small()
-    h = g.homogeneous_induced("A")
+    h = homogeneous_induced(g, "A")
     assert h.vertices == {1, 2, 5, 7}
     assert sorted(h.edges()) == [(1, 2)]
 
 
 def test_cross_edges():
     g = small()
-    assert g.cross_edges("A", "B") == [(1, 3), (2, 3), (5, 6)]
-    assert g.cross_edges("B", "A") == [(1, 3), (2, 3), (5, 6)]
+    assert cross_edges(g, "A", "B") == [(1, 3), (2, 3), (5, 6)]
+    assert cross_edges(g, "B", "A") == [(1, 3), (2, 3), (5, 6)]
 
 
 def test_component_of():

@@ -1,10 +1,11 @@
 """Algorithm 1 — Online-BCC greedy search."""
+import time
+
 import pytest
 
-from repro.core import default_ks, is_bcc, online_bcc
+from repro.core import default_ks, is_bcc, lp_bcc, online_bcc
 from repro.core.engine import RefinementEngine
 from repro.core.g0 import find_g0_local
-from repro.core.model import InvalidQuery
 from repro.local.bfs import diameter
 from repro.synth_graphs import FIG3_IDS, figure2_graph, figure3_graph, planted_bcc_graph
 
@@ -76,7 +77,7 @@ def test_result_no_larger_than_g0():
     g = pg.to_local()
     ql, qr = pg.leaders[0][0][0], pg.leaders[0][1][0]
     ks = default_ks(g, [ql, qr])
-    g0 = find_g0_local(g, [ql, qr], ks, 1)
+    g0 = find_g0_local(g, [ql, qr], ks, 1).graph
     res = online_bcc(g, [ql, qr], ks, 1)
     assert res.vertices <= g0.vertices
 
@@ -95,14 +96,24 @@ def test_diameter_shrinks_or_equal_vs_g0():
     g = pg.to_local()
     ql, qr = pg.leaders[1][0][0], pg.leaders[1][1][0]
     ks = default_ks(g, [ql, qr])
-    g0 = find_g0_local(g, [ql, qr], ks, 1)
+    cand = find_g0_local(g, [ql, qr], ks, 1)
     res = online_bcc(g, [ql, qr], ks, 1)
-    if res is not None and g0 is not None and g0.connected([ql, qr]):
-        assert diameter(res.graph) <= max(diameter(g0), 1)
+    if res is not None and cand is not None and cand.graph.connected([ql, qr]):
+        assert diameter(res.graph) <= max(diameter(cand.graph), 1)
 
 
-def test_engine_rejects_same_label_queries():
-    g = figure2_graph()
-    g0 = g.induced({0, 1, 2, 3, 4, 5})
-    with pytest.raises(InvalidQuery):
-        RefinementEngine(g0, [0, 1], [4, 4], 1)
+
+@pytest.mark.parametrize("search", [online_bcc, lp_bcc])
+def test_total_time_covers_engine_construction(monkeypatch, search):
+    """``total_time`` is the wall time of the entry-point call, so time
+    spent building the engine is in it."""
+    init = RefinementEngine.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.05)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RefinementEngine, "__init__", slow_init)
+    res = search(figure2_graph(), [0, 10], [4, 3], 1)
+    assert res.stats["total_time"] >= 0.05
+    assert res.stats["total_time"] >= res.stats["g0_time"]

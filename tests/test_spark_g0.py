@@ -22,18 +22,21 @@ def fig2_spark(spark):
 
 def _assert_same_g0(g, sg, queries, ks, b):
     """find_g0_spark on ``sg`` equals find_g0_local on ``g``: the same
-    vertices, labels and edges (or both None) and the same chi handed
-    over per label pair. Returns the local G0."""
-    chi_l, chi_s = {}, {}
-    loc = find_g0_local(g, queries, ks, b, chi=chi_l)
-    dist = find_g0_spark(sg, queries, ks, b, chi=chi_s)
+    vertices, labels and edges (or both None), and the same pair states
+    (label pair, χ and ``satisfied``). Returns the local G0."""
+    loc = find_g0_local(g, queries, ks, b)
+    dist = find_g0_spark(sg, queries, ks, b)
     assert (loc is None) == (dist is None)
-    if loc is not None:
-        assert dist.vertices == loc.vertices
-        assert dist.labels == loc.labels
-        assert sorted(dist.edges()) == sorted(loc.edges())
-    assert chi_s == chi_l
-    return loc
+    if loc is None:
+        return None
+    assert dist.graph.vertices == loc.graph.vertices
+    assert dist.graph.labels == loc.graph.labels
+    assert sorted(dist.graph.edges()) == sorted(loc.graph.edges())
+    assert (dist.queries, dist.labels, dist.ks, dist.b) == (loc.queries, loc.labels, loc.ks, loc.b)
+    assert [(ps.ia, ps.ib, ps.chi, ps.satisfied) for ps in dist.pairs] == [
+        (ps.ia, ps.ib, ps.chi, ps.satisfied) for ps in loc.pairs
+    ]
+    return loc.graph
 
 
 def test_fig2_g0_spark_equals_local(fig2_spark):

@@ -10,6 +10,8 @@ from pyspark.sql import functions as F
 from repro.graphlib.labeled import SparkLabeledGraph
 from repro.oracle import assert_equivalent
 
+from tests.helpers import cross_edges, homogeneous_induced
+
 
 def test_counts_match_local(fig3_spark, fig3_local):
     assert fig3_spark.num_vertices() == len(fig3_local)
@@ -76,7 +78,7 @@ def test_label_group(fig3_spark, fig3_local):
     h = fig3_spark.homogeneous()
     assert h.num_vertices() == len(fig3_local)
     assert h.num_edges() == sum(
-        fig3_local.homogeneous_induced(l).num_edges() for l in fig3_local.label_set()
+        homogeneous_induced(fig3_local, l).num_edges() for l in fig3_local.label_set()
     )
 
 
@@ -84,14 +86,9 @@ def test_cross_edges_match_local(fig3_spark, fig3_local):
     rows = {
         (r["left"], r["right"]) for r in fig3_spark.cross_edges("A", "B").collect()
     }
-    expect = {
-        (min(u, v) if fig3_local.label(u) == "A" else v, u)
-        for u, v in fig3_local.cross_edges("A", "B")
-        for u, v in [(u, v)]
-    }
     # normalise: left column must carry label A
     expect = set()
-    for u, v in fig3_local.cross_edges("A", "B"):
+    for u, v in cross_edges(fig3_local, "A", "B"):
         a, b = (u, v) if fig3_local.label(u) == "A" else (v, u)
         expect.add((a, b))
     assert rows == expect

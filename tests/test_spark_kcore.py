@@ -20,6 +20,7 @@ def test_max_coreness(fig3_spark, fig3_local):
     assert max_coreness(fig3_spark) == max(local_coreness(fig3_local).values())
 
 
+@pytest.mark.spark
 @pytest.mark.parametrize("graph", ["fig3", "planted_small"])
 def test_label_coreness_matches_local(request, graph):
     sg = request.getfixturevalue(f"{graph}_spark")

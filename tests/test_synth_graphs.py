@@ -19,6 +19,8 @@ from repro.synth_graphs import (
     planted_bcc_graph,
 )
 
+from tests.helpers import homogeneous_induced
+
 I = FIG3_IDS
 NAME = {v: k for k, v in I.items()}
 
@@ -75,10 +77,10 @@ def test_figure3_example5_butterfly_degrees():
 def test_figure2_bcc_structure():
     g = figure2_graph()
     # L = {0..5} is a 4-core of the SE group
-    se = g.homogeneous_induced("SE")
+    se = homogeneous_induced(g, "SE")
     assert {0, 1, 2, 3, 4, 5} <= kcore_vertices(se, 4)
     # R = {10..13} is a 3-core of the UI group
-    ui = g.homogeneous_induced("UI")
+    ui = homogeneous_induced(g, "UI")
     assert {10, 11, 12, 13} <= kcore_vertices(ui, 3)
     # B contains the butterfly on {q_l, v5} x {q_r, u3}
     bp = cross_bipartite(
@@ -176,13 +178,6 @@ def test_planted_label_pool():
     pg = planted_bcc_graph(n_communities=8, n_labels=2, label_pool=10, seed=7)
     g = pg.to_local()
     assert len(g.label_set()) > 2
-
-
-def test_community_frame():
-    pg = planted_bcc_graph(n_communities=3, seed=8)
-    df = pg.community_frame()
-    assert set(df.columns) == {"community", "id"}
-    assert len(df) == sum(len(v) for v in pg.communities.values())
 
 
 def test_to_spark_roundtrip(spark):
