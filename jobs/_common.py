@@ -1,7 +1,8 @@
-"""Shared spark-submit plumbing for the jobs/ entrypoints.
+"""Shared spark-submit plumbing for the distributed jobs/ entrypoints.
 
-Each job exposes ``run(spark, ...) -> DataFrame`` and a ``main()`` that
-builds the session when launched via ``spark-submit jobs/<name>.py``.
+``table3_stats`` and ``bcc_query`` expose ``run(spark, ...) -> DataFrame``
+and a ``main()`` that builds the session here when launched via
+``spark-submit jobs/<name>.py``; the other jobs run on the driver.
 """
 from __future__ import annotations
 

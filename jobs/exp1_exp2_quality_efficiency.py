@@ -3,35 +3,24 @@
 Runs all five methods over random in-community query pairs on the seven
 dataset stand-ins, measuring both in one pass, and prints two tables:
 the mean F1 against the ground-truth communities and the mean query
-time per (dataset, method).
+time per (dataset, method). Runs on the driver; starts no SparkSession.
 
-    spark-submit jobs/exp1_exp2_quality_efficiency.py [n_queries]
+    python jobs/exp1_exp2_quality_efficiency.py [n_queries]
 """
 from __future__ import annotations
 
 import sys
-
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.eval.datasets import DATASET_PARAMS
 from repro.eval.experiments import run_quality_efficiency
 from repro.eval.tables import markdown_table
 
 
-def run(spark: SparkSession, n_queries: int = 12) -> DataFrame:
+def main() -> None:
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 12
     rows = []
     for ds in DATASET_PARAMS:
-        rows.extend(run_quality_efficiency(ds, n_queries=n_queries))
-    return spark.createDataFrame(rows)
-
-
-def main() -> None:
-    sys.path.insert(0, "src")
-    from _common import get_spark  # noqa: PLC0415
-
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-    spark = get_spark("exp1_exp2_quality_efficiency")
-    rows = run(spark, n_queries=n).collect()
+        rows.extend(run_quality_efficiency(ds, n_queries=n))
     print("Exp-1 (Figure 4): F1 vs ground truth\n")
     print(
         markdown_table(
@@ -46,7 +35,6 @@ def main() -> None:
             [(r["dataset"], r["method"], round(r["time_s"] * 1000, 2)) for r in rows],
         )
     )
-    spark.stop()
 
 
 if __name__ == "__main__":

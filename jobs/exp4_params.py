@@ -1,33 +1,20 @@
 """Exp-4 (Figures 8-9) — parameter sensitivity: runtime vs k and vs b.
+Runs on the driver; starts no SparkSession.
 
-    spark-submit jobs/exp4_params.py
+    python jobs/exp4_params.py
 """
 from __future__ import annotations
-
-import sys
-
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.eval.experiments import run_param_sweep
 from repro.eval.tables import markdown_table
 
 
-def run(spark: SparkSession, dataset: str = "dblp_lite", n_queries: int = 8) -> DataFrame:
-    return spark.createDataFrame(run_param_sweep(dataset, n_queries=n_queries))
-
-
 def main() -> None:
-    sys.path.insert(0, "src")
-    from _common import get_spark  # noqa: PLC0415
-
-    spark = get_spark("exp4_params")
-    df = run(spark)
     rows = [
         (r["param"], r["value"], r["method"], round(r["time_s"] * 1000, 2))
-        for r in df.collect()
+        for r in run_param_sweep("dblp_lite", n_queries=8)
     ]
     print(markdown_table(["param", "value", "method", "mean time (ms)"], rows))
-    spark.stop()
 
 
 if __name__ == "__main__":

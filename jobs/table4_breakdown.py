@@ -3,15 +3,13 @@
 Runs both methods over the same query workload on the DBLP-like
 breakdown instance and prints query-distance time, leader-pair-update
 time, #butterfly-counting calls and total time, with speedups — the
-paper's Table 4 rows.
+paper's Table 4 rows. Runs on the driver; starts no SparkSession.
 
-    spark-submit jobs/table4_breakdown.py [n_queries]
+    python jobs/table4_breakdown.py [n_queries]
 """
 from __future__ import annotations
 
 import sys
-
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.eval.experiments import run_breakdown
 from repro.eval.tables import table4_markdown
@@ -25,28 +23,11 @@ PAPER_TABLE4 = {
 }
 
 
-def run(spark: SparkSession, dataset: str = "dblp_bd_lite", n_queries: int = 12) -> DataFrame:
-    """Breakdown rows as a DataFrame (method, step, value)."""
-    bd = run_breakdown(dataset, n_queries=n_queries)
-    rows = [
-        {"method": method, "step": step, "value": float(v)}
-        for method, steps in bd.items()
-        for step, v in steps.items()
-    ]
-    return spark.createDataFrame(rows)
-
-
 def main() -> None:
-    sys.path.insert(0, "src")
-    from _common import get_spark  # noqa: PLC0415
-
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-    spark = get_spark("table4_breakdown")
     bd = run_breakdown("dblp_bd_lite", n_queries=n)
-    print("Paper Table 4 (DBLP): "
-          f"{ {k: v for k, v in PAPER_TABLE4.items()} }")
+    print(f"Paper Table 4 (DBLP): {PAPER_TABLE4}")
     print(table4_markdown(bd))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
-from ..local.kcore import coreness, kcore_vertices, peel_to_kcore
+from ..local.kcore import coreness, peel_to_kcore
 from ..core.engine import farthest_layer, greedy_peel
 from ..core.model import BCCResult
 
@@ -36,10 +36,10 @@ def psa(
     queries = [int(q) for q in queries]
     if any(q not in g for q in queries):
         return None
+    c = coreness(g)
     if k is None:
-        c = coreness(g)
         k = min(c[q] for q in queries)
-    core_vs = kcore_vertices(g, k)
+    core_vs = {v for v, cv in c.items() if cv >= k}
     if not all(q in core_vs for q in queries):
         return None
     cur = g.induced(core_vs)

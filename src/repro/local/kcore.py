@@ -1,4 +1,4 @@
-"""Driver-local k-core extraction, maintenance, and coreness decomposition.
+"""Driver-local k-core maintenance and coreness decomposition.
 
 Used (a) inside the refinement loop (Algorithm 4 maintains the two
 label-group cores after each bulk deletion) and (b) as the reference
@@ -11,24 +11,6 @@ from types import MappingProxyType
 from typing import Collection, Dict, Mapping, Set
 
 from .graph import LocalGraph
-
-
-def kcore_vertices(g: LocalGraph, k: int) -> Set[int]:
-    """Vertex set of the (maximal) k-core of ``g``: peel deg < k to fixpoint."""
-    deg = {v: len(ns) for v, ns in g.adj.items()}
-    alive = set(g.adj)
-    q = deque(v for v, d in deg.items() if d < k)
-    while q:
-        v = q.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in g.adj[v]:
-            if u in alive:
-                deg[u] -= 1
-                if deg[u] < k:
-                    q.append(u)
-    return alive
 
 
 def peel_to_kcore(g: LocalGraph, k: int) -> Set[int]:

@@ -64,11 +64,6 @@ def _truss_subgraph(g: LocalGraph, t: Dict[Edge, int], k: int) -> LocalGraph:
     return out
 
 
-def ktruss_subgraph(g: LocalGraph, k: int) -> LocalGraph:
-    """Maximal k-truss of ``g`` as a subgraph (may drop isolated vertices)."""
-    return _truss_subgraph(g, trussness(g), k)
-
-
 def max_truss_containing(g: LocalGraph, queries: Set[int]) -> Tuple[int, LocalGraph]:
     """Largest k with a *connected* k-truss containing all of ``queries``.
 

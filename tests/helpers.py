@@ -4,17 +4,17 @@ The brute-force implementations here are deliberately naive (subset
 enumeration, O(n^3) shortest paths, direct 2x2-biclique counting) and
 independent of the code under test — they are the ground truth the
 fast implementations are checked against on small inputs.
-``heap_coreness``, ``peeled_g0``, ``old_ctc`` and ``old_psa`` keep the
-implementations that a faster or shared path replaced, as differential
-references for it; ``butterfly_degree_of`` and ``total_butterflies``
-are single-vertex and whole-graph butterfly counts, and
-``homogeneous_induced`` and ``cross_edges`` local label-group views,
-that only tests need.
+``heap_coreness``, ``kcore_vertices``, ``peeled_g0``, ``old_ctc`` and
+``old_psa`` keep the implementations that a faster or shared path
+replaced, as differential references for it; ``butterfly_degree_of``
+and ``total_butterflies`` are single-vertex and whole-graph butterfly
+counts, and ``homogeneous_induced`` and ``cross_edges`` local
+label-group views, that only tests need.
 """
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -159,6 +159,25 @@ def heap_coreness(g: LocalGraph) -> Dict[int, int]:
     return core
 
 
+def kcore_vertices(g: LocalGraph, k: int) -> Set[int]:
+    """Vertex set of the (maximal) k-core of ``g``: peel deg < k to
+    fixpoint (the construction PSA's coreness filter replaced)."""
+    deg = {v: len(ns) for v, ns in g.adj.items()}
+    alive = set(g.adj)
+    q = deque(v for v, d in deg.items() if d < k)
+    while q:
+        v = q.popleft()
+        if v not in alive:
+            continue
+        alive.discard(v)
+        for u in g.adj[v]:
+            if u in alive:
+                deg[u] -= 1
+                if deg[u] < k:
+                    q.append(u)
+    return alive
+
+
 def homogeneous_induced(g: LocalGraph, lab: object) -> LocalGraph:
     """Subgraph induced by the vertices of one label (homogeneous edges only)."""
     return g.induced(g.vertices_with_label(lab))
@@ -180,7 +199,6 @@ def peeled_g0(
     replaced with a coreness filter), then the same feasibility check.
     Returns the candidate graph or ``None``."""
     from repro.core.g0 import feasible_candidate
-    from repro.local.kcore import kcore_vertices
 
     if any(q not in g for q in queries):
         return None
@@ -242,7 +260,7 @@ def old_psa(g: LocalGraph, queries, k: Optional[int] = None, max_iterations: int
     shared ``greedy_peel`` replaced)."""
     from repro.core.model import BCCResult
     from repro.local.bfs import INF, query_distances
-    from repro.local.kcore import coreness, kcore_vertices, peel_to_kcore
+    from repro.local.kcore import coreness, peel_to_kcore
 
     queries = [int(q) for q in queries]
     if any(q not in g for q in queries):

@@ -5,7 +5,6 @@ from repro.baselines import ctc, psa
 from repro.core.engine import farthest_layer, greedy_peel
 from repro.local.bfs import INF, query_distances
 from repro.local.graph import LocalGraph
-from repro.local.kcore import kcore_vertices
 from repro.local.truss import trussness
 from repro.synth_graphs import figure2_graph, planted_bcc_graph
 

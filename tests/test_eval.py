@@ -3,7 +3,12 @@ experiment runners (small smoke configurations)."""
 import pytest
 
 from repro.eval.datasets import ALL_PARAMS, DATASET_PARAMS, PAPER_NAME, PAPER_TABLE3, load
-from repro.eval.experiments import run_breakdown, run_mbcc, run_quality_efficiency
+from repro.eval.experiments import (
+    run_breakdown,
+    run_mbcc,
+    run_param_sweep,
+    run_quality_efficiency,
+)
 from repro.eval.metrics import f1_score, mean, precision, recall
 from repro.eval.queries import community_query_pairs, degree_threshold
 from repro.eval.tables import markdown_table, table4_markdown
@@ -123,6 +128,11 @@ def test_run_breakdown_smoke():
     bd = run_breakdown("baidu1_lite", n_queries=3)
     assert set(bd) == {"Online-BCC", "LP-BCC", "speedup"}
     assert bd["Online-BCC"]["butterfly_counting"] >= 1
+
+
+def test_run_param_sweep_smoke():
+    rows = run_param_sweep("baidu1_lite", n_queries=2)
+    assert {r["param"] for r in rows} == {"k", "b"}
 
 
 def test_run_mbcc_smoke():

@@ -4,10 +4,9 @@ import pytest
 from repro.core.g0 import find_g0_local
 from repro.core.model import is_bcc
 from repro.local.butterfly import butterfly_degrees
-from repro.local.kcore import kcore_vertices
 from repro.synth_graphs import FIG3_IDS, figure2_graph, figure3_graph, planted_bcc_graph
 
-from tests.helpers import homogeneous_induced
+from tests.helpers import homogeneous_induced, kcore_vertices
 
 I = FIG3_IDS
 

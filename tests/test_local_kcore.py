@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.local.graph import LocalGraph
-from repro.local.kcore import coreness, kcore_vertices, peel_to_kcore
+from repro.local.kcore import coreness, peel_to_kcore
 
-from tests.helpers import brute_coreness, random_labeled_graph
+from tests.helpers import brute_coreness, kcore_vertices, random_labeled_graph
 
 
 def triangle_plus_tail() -> LocalGraph:

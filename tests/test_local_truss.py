@@ -2,7 +2,7 @@
 import pytest
 
 from repro.local.graph import LocalGraph
-from repro.local.truss import edge_support, ktruss_subgraph, max_truss_containing, trussness
+from repro.local.truss import edge_support, max_truss_containing, trussness
 
 from tests.helpers import brute_in_ktruss, random_labeled_graph
 
@@ -27,15 +27,6 @@ def test_trussness_k4():
     assert t[(4, 5)] == 2
 
 
-def test_ktruss_subgraph():
-    g = k4_plus_tail()
-    h = ktruss_subgraph(g, 4)
-    assert h.vertices == {1, 2, 3, 4}
-    assert h.num_edges() == 6
-    h2 = ktruss_subgraph(g, 5)
-    assert len(h2) == 0
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("k", [3, 4])
 def test_trussness_matches_bruteforce(seed, k):
@@ -49,6 +40,7 @@ def test_max_truss_containing():
     g = k4_plus_tail()
     k, sub = max_truss_containing(g, {1, 2})
     assert k == 4 and sub.vertices == {1, 2, 3, 4}
+    assert sub.num_edges() == 6
     k, sub = max_truss_containing(g, {1, 5})
     assert k == 2 and {1, 5} <= sub.vertices
 

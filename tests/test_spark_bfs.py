@@ -7,8 +7,9 @@ from pyspark.sql import functions as F
 from repro.graphlib.bfs import bfs_distances
 from repro.local.bfs import INF
 from repro.local.bfs import bfs_distances as local_bfs
-from repro.oracle import assert_equivalent
 from repro.synth_graphs import FIG3_IDS
+
+from tests.oracle import assert_equivalent
 
 I = FIG3_IDS
 

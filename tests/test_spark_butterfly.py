@@ -6,9 +6,9 @@ from pyspark.sql import functions as F
 from repro.graphlib.butterfly import butterfly_degrees
 from repro.local.butterfly import Bipartite
 from repro.local.butterfly import butterfly_degrees as local_butterfly
-from repro.oracle import assert_equivalent
 
 from tests.helpers import brute_butterfly_degrees, random_bipartite
+from tests.oracle import assert_equivalent
 
 #: the SQL twin of Algorithm-3-as-dataflow: wedge self-joins per side
 BUTTERFLY_SQL = """

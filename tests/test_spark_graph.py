@@ -8,9 +8,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphlib.labeled import SparkLabeledGraph
-from repro.oracle import assert_equivalent
 
 from tests.helpers import cross_edges, homogeneous_induced
+from tests.oracle import assert_equivalent
 
 
 def test_counts_match_local(fig3_spark, fig3_local):

@@ -9,7 +9,7 @@ import pytest
 from repro.local.bfs import bfs_distances
 from repro.local.butterfly import butterfly_degrees
 from repro.local.graph import LocalGraph
-from repro.local.kcore import coreness, kcore_vertices
+from repro.local.kcore import coreness
 from repro.core.model import cross_bipartite
 from repro.synth_graphs import (
     FIG3_IDS,
@@ -19,7 +19,7 @@ from repro.synth_graphs import (
     planted_bcc_graph,
 )
 
-from tests.helpers import homogeneous_induced
+from tests.helpers import homogeneous_induced, kcore_vertices
 
 I = FIG3_IDS
 NAME = {v: k for k, v in I.items()}
