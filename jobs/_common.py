@@ -1,8 +1,9 @@
 """Shared spark-submit plumbing for the distributed jobs/ entrypoints.
 
-``table3_stats`` and ``bcc_query`` expose ``run(spark, ...) -> DataFrame``
-and a ``main()`` that builds the session here when launched via
-``spark-submit jobs/<name>.py``; the other jobs run on the driver.
+``table3_stats`` and ``bcc_query`` expose ``run(spark, ...)``, which
+returns plain Python values, and a ``main()`` that builds the session
+here when launched via ``spark-submit jobs/<name>.py``; the other jobs
+run on the driver.
 """
 from __future__ import annotations
 

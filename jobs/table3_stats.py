@@ -8,32 +8,29 @@ via the distributed H-index coreness fixpoint.
 """
 from __future__ import annotations
 
-import sys
+from typing import List
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
+from _common import get_spark
 from repro.eval.datasets import DATASET_PARAMS, PAPER_NAME, PAPER_TABLE3, load
 from repro.eval.tables import markdown_table
 from repro.graphlib import SparkLabeledGraph, graph_stats
 
 
-def run(spark: SparkSession, datasets=None) -> DataFrame:
-    """Compute Table-3 rows for every dataset; returns them as a DataFrame."""
+def run(spark: SparkSession, datasets=None) -> List[dict]:
+    """The Table-3 row of every dataset, one dict each."""
     rows = []
     for name in datasets or DATASET_PARAMS:
         pg = load(name)
         sg = SparkLabeledGraph(*pg.to_spark(spark)).cache()
         rows.append(graph_stats(sg, name).row())
-    return spark.createDataFrame(rows)
+    return rows
 
 
 def main() -> None:
-    sys.path.insert(0, "src")
-    from _common import get_spark  # noqa: PLC0415
-
     spark = get_spark("table3_stats")
-    df = run(spark)
-    got = {r["Network"]: r for r in df.collect()}
+    got = {r["Network"]: r for r in run(spark)}
     paper_by_name = {r[0]: r for r in PAPER_TABLE3}
     rows = []
     for name in DATASET_PARAMS:

@@ -23,7 +23,7 @@ from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.truss import max_truss_containing, trussness
 from ..core.engine import farthest_layer, greedy_peel
-from ..core.model import BCCResult
+from ..core.model import BCCResult, known_queries
 
 
 def _maintain_truss(g: LocalGraph, k: int) -> None:
@@ -37,10 +37,11 @@ def _maintain_truss(g: LocalGraph, k: int) -> None:
             g.remove_vertex(v)
 
 
-def ctc(g: LocalGraph, queries: Sequence[int], max_iterations: int = 10_000) -> Optional[BCCResult]:
-    """Closest truss community for ``queries`` (labels ignored)."""
+def ctc(g: LocalGraph, queries: Sequence[int]) -> Optional[BCCResult]:
+    """Closest truss community for ``queries`` (labels ignored); raises
+    :class:`~repro.core.model.InvalidQuery` for a vertex not in ``g``."""
     t0 = time.perf_counter()
-    queries = [int(q) for q in queries]
+    queries = known_queries(g, queries)
     k, cur = max_truss_containing(g, set(queries))
     if len(cur) == 0:
         return None
@@ -51,8 +52,7 @@ def ctc(g: LocalGraph, queries: Sequence[int], max_iterations: int = 10_000) -> 
         return True
 
     best, best_qd, iters = greedy_peel(
-        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete,
-        max_iterations=max_iterations,
+        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete
     )
     if best is None:
         return None

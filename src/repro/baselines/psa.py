@@ -24,18 +24,15 @@ from ..local.bfs import query_distances
 from ..local.graph import LocalGraph
 from ..local.kcore import coreness, peel_to_kcore
 from ..core.engine import farthest_layer, greedy_peel
-from ..core.model import BCCResult
+from ..core.model import BCCResult, known_queries
 
 
-def psa(
-    g: LocalGraph, queries: Sequence[int], k: Optional[int] = None,
-    max_iterations: int = 10_000,
-) -> Optional[BCCResult]:
-    """Progressive minimum k-core community for ``queries`` (labels ignored)."""
+def psa(g: LocalGraph, queries: Sequence[int], k: Optional[int] = None) -> Optional[BCCResult]:
+    """Progressive minimum k-core community for ``queries`` (labels
+    ignored); raises :class:`~repro.core.model.InvalidQuery` for a vertex
+    not in ``g``."""
     t0 = time.perf_counter()
-    queries = [int(q) for q in queries]
-    if any(q not in g for q in queries):
-        return None
+    queries = known_queries(g, queries)
     c = coreness(g)
     if k is None:
         k = min(c[q] for q in queries)
@@ -50,8 +47,7 @@ def psa(
         return True
 
     best, best_qd, iters = greedy_peel(
-        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete,
-        max_iterations=max_iterations,
+        cur, queries, lambda: farthest_layer(query_distances(cur, queries)), delete
     )
     if best is None:
         return None

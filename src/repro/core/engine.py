@@ -42,7 +42,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..local.bfs import INF, bfs_distances
+from ..local.bfs import INF, bfs_distances, max_combine
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
 from .fastdist import Buckets, bucket_levels, fast_update, rebucket
@@ -61,8 +61,6 @@ def greedy_peel(
     queries: Sequence[int],
     farthest: Callable[[], Tuple[float, Set[int]]],
     delete: Callable[[Set[int]], bool],
-    *,
-    max_iterations: int,
 ) -> Tuple[Optional[Set[int]], float, int]:
     """Algorithm 1's greedy loop, shared by BCC, CTC and PSA.
 
@@ -82,7 +80,9 @@ def greedy_peel(
     best: Optional[Set[int]] = None
     best_qd = INF
     iterations = 0
-    while iterations < max_iterations:
+    # ends within |g| + 1 iterations: each one deletes at least one
+    # vertex of g or stops
+    while True:
         iterations += 1
         if any(q not in g for q in queries):
             break
@@ -110,13 +110,7 @@ class RefinementEngine:
     itself, so it must not be modified until :meth:`run` returns.
     """
 
-    def __init__(
-        self,
-        candidate: Candidate,
-        *,
-        fast: bool = False,
-        max_iterations: int = 100_000,
-    ):
+    def __init__(self, candidate: Candidate, *, fast: bool = False):
         g0 = candidate.graph
         self.g0 = g0
         self.g = g0.copy()
@@ -125,7 +119,6 @@ class RefinementEngine:
         self.k_of = dict(zip(self.labels, candidate.ks))
         self.b = candidate.b
         self.fast = fast
-        self.max_iterations = max_iterations
         self.stats: Dict[str, float] = {
             "qdist_time": 0.0,
             "leader_time": 0.0,
@@ -256,12 +249,7 @@ class RefinementEngine:
     def _bfs_qd(self) -> Tuple[List[Dict[int, float]], Dict[int, float]]:
         """A full BFS per query and their max-combine (Def. 5)."""
         maps = [bfs_distances(self.g, q) for q in self.queries]
-        qd = {v: 0.0 for v in self.g.adj}
-        for dq in maps:
-            for v in self.g.adj:
-                if dq[v] > qd[v]:
-                    qd[v] = dq[v]
-        return maps, qd
+        return maps, max_combine(self.g, maps)
 
     def _farthest(self) -> Tuple[float, Set[int]]:
         """The farthest layer: Online mode runs a full BFS per query
@@ -312,11 +300,7 @@ class RefinementEngine:
     def run(self) -> Optional[BCCResult]:
         """Run the greedy refinement; return the best BCC snapshot or None."""
         best, best_qd, self.stats["iterations"] = greedy_peel(
-            self.g,
-            self.queries,
-            self._farthest,
-            self._delete,
-            max_iterations=self.max_iterations,
+            self.g, self.queries, self._farthest, self._delete
         )
         if best is None:
             return None

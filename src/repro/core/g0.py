@@ -37,14 +37,9 @@ from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
-from .model import Candidate, PairState, cross_bipartite, groups_connected, leaders_clear
-
-
-def _labels_of(queries: Sequence[int], label_lookup) -> Optional[List[object]]:
-    labs = [label_lookup(q) for q in queries]
-    if any(l is None for l in labs) or len(set(labs)) != len(labs):
-        return None
-    return labs
+from .model import (
+    Candidate, PairState, check_query, cross_bipartite, groups_connected, leaders_clear
+)
 
 
 def feasible_candidate(
@@ -102,15 +97,11 @@ def find_g0_local(
 
     Returns the candidate ``G0 = L ∪ B ∪ R`` (induced subgraph on the
     union of the per-label core components containing each query) with
-    the pair states of its feasibility check, or ``None`` if a query is
-    unknown, two queries share a label, or any core/butterfly condition
-    already fails.
+    the pair states of its feasibility check, or ``None`` if a query's
+    coreness is below its k or the butterfly check fails. A query outside
+    the query rule raises :class:`~repro.core.model.InvalidQuery`.
     """
-    if any(q not in g for q in queries):
-        return None
-    labs = _labels_of(queries, lambda q: g.label(q))
-    if labs is None:
-        return None
+    check_query(queries, [g.labels.get(q) for q in queries], ks)
     core = label_coreness(g)
     if any(core[q] < k for q, k in zip(queries, ks)):
         return None
@@ -133,16 +124,14 @@ def find_g0_spark(
     runs one BFS from all queries over the homogeneous edges among them.
     The labels differ, so the reached set is the union of the per-query
     core components. It is collected, and the same feasibility check as
-    :func:`find_g0_local` runs on the driver.
+    :func:`find_g0_local` runs on the driver. The query rule is checked
+    on the queries' collected rows.
     """
     core = sg.label_coreness()
     rows = core.where(F.col("id").isin([int(q) for q in queries])).collect()
     by_id = {int(r["id"]): r for r in rows}
-    if len(by_id) != len(queries):
-        return None
-    labs = _labels_of(queries, lambda q: by_id[int(q)]["label"])
-    if labs is None:
-        return None
+    labs = [by_id[int(q)]["label"] if int(q) in by_id else None for q in queries]
+    check_query(queries, labs, ks)
     if any(by_id[int(q)]["coreness"] < k for q, k in zip(queries, ks)):
         return None
     keep = core.where(

@@ -26,8 +26,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
 from .bcindex import BCIndex, build_bcindex_local
-from .model import BCCResult
+from .model import BCCResult, check_query
 from .search import lp_bcc
+
+
+#: Def. 6's weights γ1, γ2 of the coreness and butterfly-degree terms
+GAMMA1 = GAMMA2 = 0.5
 
 
 def butterfly_core_path(
@@ -37,8 +41,6 @@ def butterfly_core_path(
     allowed: Set[int],
     s: int,
     t: int,
-    gamma1: float = 0.5,
-    gamma2: float = 0.5,
 ) -> Optional[List[int]]:
     """Best-first search for a small butterfly-core-weight s-t path.
 
@@ -51,7 +53,7 @@ def butterfly_core_path(
     d_max = idx.delta_max
 
     def weight(hops: int, mc: int, mx: int) -> float:
-        return hops + gamma1 * (d_max - mc) + gamma2 * (chi_max - mx)
+        return hops + GAMMA1 * (d_max - mc) + GAMMA2 * (chi_max - mx)
 
     start = (idx.coreness.get(s, 0), chi.get(s, 0))
     best: Dict[int, float] = {}
@@ -126,14 +128,12 @@ def l2p_bcc(
     query vertex (i.e. the query's coreness within G_t).
 
     ``total_time`` is the wall time of the whole call, index lookups,
-    path search and expansion included.
+    path search and expansion included. A malformed query raises
+    :class:`~repro.core.model.InvalidQuery` before any index is built.
     """
     t0 = time.perf_counter()
-    if any(q not in g for q in queries):
-        return None
-    labels = [g.label(q) for q in queries]
-    if len(set(labels)) != len(labels):
-        return None
+    labels = [g.labels.get(q) for q in queries]
+    check_query(queries, labels, ks)
     idx = index if index is not None else build_bcindex_local(g)
     allowed = {v for v in g.adj if g.labels[v] in set(labels)}
 

@@ -3,7 +3,7 @@
 * :func:`identify_leader` (Alg 6): find a vertex near the query with a
   butterfly degree large w.r.t. the side maximum, by binary-searching
   the threshold ``b_p`` in {b_max/2, b_max/4, ...} over the query's
-  rho-hop homogeneous neighbourhood.
+  :data:`RHO`-hop homogeneous neighbourhood.
 * :func:`update_leader_on_delete` (Alg 7): O(d²) exact decrement of a
   leader's butterfly degree when one vertex leaves the bipartite graph
   (call *before* the vertex is removed from the adjacency).
@@ -15,6 +15,10 @@ from typing import Dict, Mapping, Optional, Set
 
 from ..local.butterfly import Bipartite
 from ..local.graph import LocalGraph
+
+
+#: hop radius of Algorithm 6's leader search around the query
+RHO = 3
 
 
 def _comb2(n: int) -> int:
@@ -45,7 +49,6 @@ def identify_leader(
     chi: Mapping[int, int],
     side_vertices: Set[int],
     b: int,
-    rho: int = 3,
 ) -> int:
     """Algorithm 6: a leader vertex for the side of ``q``.
 
@@ -53,7 +56,7 @@ def identify_leader(
     degree, then the smallest id (matching the paper's Example 5, which
     returns u2 over the equal-degree u3).
 
-    If neither the query nor any vertex within rho hops clears the
+    If neither the query nor any vertex within RHO hops clears the
     shrinking threshold, the best in-range vertex with chi >= b is
     returned (the paper's line 16 returns the query itself, which would
     force a full butterfly count on every subsequent iteration).
@@ -63,12 +66,12 @@ def identify_leader(
     b_p = b_max / 2
     if chi.get(p, 0) >= b_p:
         return p
-    dists = bounded_group_bfs(g, q, rho)
+    dists = bounded_group_bfs(g, q, RHO)
     by_d: Dict[int, list] = {}
     for v, d in dists.items():
         by_d.setdefault(d, []).append(v)
     while b_p >= max(b, 1):
-        for d in range(1, rho + 1):
+        for d in range(1, RHO + 1):
             cands = [s for s in by_d.get(d, ()) if chi.get(s, 0) >= b_p]
             if cands:
                 return max(cands, key=lambda s: (chi.get(s, 0), -s))

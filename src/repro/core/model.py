@@ -17,8 +17,35 @@ from ..local.graph import LocalGraph
 
 
 class InvalidQuery(ValueError):
-    """A query the search cannot run: a vertex not in the graph, or two
-    query vertices with the same label."""
+    """A query outside :func:`check_query`'s rule, raised by every BCC
+    entry point (``is_bcc`` returns ``False``); for the label-blind
+    baselines, a query vertex not in the graph (:func:`known_queries`)."""
+
+
+def known_queries(g: LocalGraph, queries: Sequence[int]) -> List[int]:
+    """``queries`` as ints; raises :class:`InvalidQuery` for one not in ``g``."""
+    missing = [q for q in queries if q not in g]
+    if missing:
+        raise InvalidQuery(f"query vertices {missing} are not in the graph")
+    return [int(q) for q in queries]
+
+
+def check_query(
+    queries: Sequence[int], labels: Sequence[Optional[object]], ks: Optional[Sequence[int]] = None
+) -> None:
+    """The BCC query rule of Defs. 4 and 8: m >= 2 query vertices of the
+    graph with pairwise distinct labels and, when ``ks`` is given, one
+    k_i for each. ``labels`` are the queries' looked-up labels, ``None``
+    for a vertex not in the graph. Raises :class:`InvalidQuery`."""
+    missing = [q for q, lab in zip(queries, labels) if lab is None]
+    if missing:
+        raise InvalidQuery(f"query vertices {missing} are not in the graph")
+    if len(queries) < 2:
+        raise InvalidQuery(f"a BCC query needs two or more vertices, got {list(queries)}")
+    if len(set(labels)) != len(labels):
+        raise InvalidQuery(f"query vertices {list(queries)} repeat a label: {list(labels)}")
+    if ks is not None and len(ks) != len(queries):
+        raise InvalidQuery(f"{len(ks)} ks for {len(queries)} query vertices")
 
 
 @dataclass
@@ -124,35 +151,26 @@ def groups_connected(m: int, links: Iterable[Tuple[int, int]]) -> bool:
     return len({find(i) for i in range(m)}) == 1
 
 
-def is_bcc(
-    g: LocalGraph,
-    queries: Sequence[int],
-    ks: Sequence[int],
-    b: int,
-    labels: Optional[Sequence[object]] = None,
-) -> bool:
+def is_bcc(g: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int) -> bool:
     """Full check of Problem 1 conditions 1-2 (Def. 4 / Def. 8).
 
+    * the query rule (:func:`check_query`) on ``g``'s labels;
     * connected subgraph containing all queries;
     * exactly the m query labels present;
     * each label group induces a k_i-core (over homogeneous edges);
     * m = 2: leader pair with butterfly degree >= b;
       m > 2: cross-group connectivity (Def. 7) over the label graph.
     """
-    if labels is None:
-        if any(q not in g for q in queries):
-            return False
-        labels = [g.label(q) for q in queries]
-    if len(set(labels)) != len(labels):
+    labels = [g.labels.get(q) for q in queries]
+    try:
+        check_query(queries, labels, ks)
+    except InvalidQuery:
         return False
     if not g.connected(queries):
         return False
     if g.label_set() != set(labels):
         return False
     groups = group_partition(g, labels)
-    for q, lab, vs in zip(queries, labels, groups):
-        if q not in vs:
-            return False
     for k, vs in zip(ks, groups):
         sub = g.induced(vs)
         if any(len(sub.adj[v]) < k for v in sub.adj):

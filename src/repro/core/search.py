@@ -21,7 +21,7 @@ from ..local.graph import LocalGraph
 from ..local.kcore import label_coreness
 from .engine import RefinementEngine
 from .g0 import find_g0_local, find_g0_spark
-from .model import BCCResult, InvalidQuery
+from .model import BCCResult, check_query
 
 GraphLike = Union[LocalGraph, SparkLabeledGraph]
 
@@ -29,11 +29,10 @@ GraphLike = Union[LocalGraph, SparkLabeledGraph]
 def default_ks(g: LocalGraph, queries: Sequence[int]) -> list[int]:
     """The paper's default parameters: k_i = coreness of q_i within its
     label group (homogeneous subgraph), read from the graph's memoised
-    per-label coreness."""
+    per-label coreness. Raises :class:`InvalidQuery` for a query outside
+    the query rule."""
+    check_query(queries, [g.labels.get(q) for q in queries])
     core = label_coreness(g)
-    missing = [q for q in queries if q not in core]
-    if missing:
-        raise InvalidQuery(f"query vertices {missing} are not in the graph")
     return [core[q] for q in queries]
 
 

@@ -14,10 +14,11 @@ from pyspark.sql import functions as F
 
 from .labeled import SparkLabeledGraph
 
+#: guard on the BFS rounds (the eccentricity of the source set)
+MAX_ROUNDS = 10_000
 
-def bfs_distances(
-    g: SparkLabeledGraph, sources: Iterable[int], max_rounds: int = 10_000
-) -> DataFrame:
+
+def bfs_distances(g: SparkLabeledGraph, sources: Iterable[int]) -> DataFrame:
     """(id, dist) hop distances from the nearest of ``sources``.
 
     Unreachable vertices are absent from the result (join with the
@@ -43,7 +44,7 @@ def bfs_distances(
     )
     layers = [frontier.select("id", F.lit(0).alias("dist"))]
     prev = frontier.limit(0)
-    for d in range(1, max_rounds + 1):
+    for d in range(1, MAX_ROUNDS + 1):
         nxt = (
             adj.join(frontier, "id", "semi")
             .select(F.col("nbr").alias("id"))

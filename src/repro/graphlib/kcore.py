@@ -20,7 +20,11 @@ if TYPE_CHECKING:
     from .labeled import SparkLabeledGraph
 
 
-def coreness(g: SparkLabeledGraph, max_rounds: int = 200) -> DataFrame:
+#: guard on the fixpoint rounds (a few tens on real graphs)
+MAX_ROUNDS = 200
+
+
+def coreness(g: SparkLabeledGraph) -> DataFrame:
     """(id, coreness) for every vertex via the H-index fixpoint.
 
     Each round is one action: counting the changed estimates both
@@ -31,7 +35,7 @@ def coreness(g: SparkLabeledGraph, max_rounds: int = 200) -> DataFrame:
     est = g.degrees().select("id", F.col("degree").alias("est"))
     est = est.localCheckpoint(eager=False)
     w = Window.partitionBy("id").orderBy(F.desc("nbr_est"), F.asc("nbr"))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         nbr_est = adj.join(
             est.select(F.col("id").alias("nbr"), F.col("est").alias("nbr_est")),
             "nbr",
@@ -55,7 +59,7 @@ def coreness(g: SparkLabeledGraph, max_rounds: int = 200) -> DataFrame:
         est = step.select("id", "est")
         if changed == 0:
             return est.select("id", F.col("est").alias("coreness"))
-    raise RuntimeError(f"coreness did not converge in {max_rounds} rounds")
+    raise RuntimeError(f"coreness did not converge in {MAX_ROUNDS} rounds")
 
 
 def max_coreness(g: SparkLabeledGraph) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, Sequence
 
 from .graph import LocalGraph
 
@@ -30,24 +30,27 @@ def bfs_distances(g: LocalGraph, source: int) -> Dict[int, float]:
     return dist
 
 
-def query_distances(g: LocalGraph, queries: Iterable[int]) -> Dict[int, float]:
-    """Def. 5: ``dist(v, Q) = max_{q in Q} dist(v, q)`` for every vertex."""
+def max_combine(g: LocalGraph, maps: Sequence[Dict[int, float]]) -> Dict[int, float]:
+    """Def. 5's max over per-query distance maps of ``g``:
+    ``dist(v, Q) = max_{q in Q} dist(v, q)`` for every vertex."""
     qd: Dict[int, float] = {v: 0.0 for v in g.adj}
-    for q in queries:
-        d = bfs_distances(g, q)
+    for d in maps:
         for v in g.adj:
             if d[v] > qd[v]:
                 qd[v] = d[v]
     return qd
 
 
-def diameter(g: LocalGraph, vertices: Set[int] | None = None) -> float:
+def query_distances(g: LocalGraph, queries: Iterable[int]) -> Dict[int, float]:
+    """Def. 5: ``dist(v, Q)`` for every vertex, one BFS per query."""
+    return max_combine(g, [bfs_distances(g, q) for q in queries])
+
+
+def diameter(g: LocalGraph) -> float:
     """Exact diameter via all-pairs BFS (fine at candidate-graph scale)."""
-    vs = vertices if vertices is not None else g.vertices
     best = 0.0
-    for v in vs:
-        d = bfs_distances(g, v)
-        m = max((d[u] for u in vs), default=0.0)
+    for v in g.adj:
+        m = max(bfs_distances(g, v).values(), default=0.0)
         if m > best:
             best = m
     return best

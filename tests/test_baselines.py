@@ -3,6 +3,7 @@ import pytest
 
 from repro.baselines import ctc, psa
 from repro.core.engine import farthest_layer, greedy_peel
+from repro.core.model import InvalidQuery
 from repro.local.bfs import INF, query_distances
 from repro.local.graph import LocalGraph
 from repro.local.truss import trussness
@@ -82,7 +83,8 @@ def test_psa_infeasible_k():
 
 def test_psa_missing_query():
     g = figure2_graph()
-    assert psa(g, [0, 999]) is None
+    with pytest.raises(InvalidQuery, match="999"):
+        psa(g, [0, 999])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -137,24 +139,16 @@ def test_baselines_equal_old_loops(fn, old):
             assert new.stats["iterations"] == ref.stats["iterations"], name
 
 
-def _path_peel(n, queries, max_iterations=100):
-    g = LocalGraph.from_edges([(i, i + 1) for i in range(n - 1)], {v: "A" for v in range(n)})
+def test_greedy_peel_on_a_path():
+    # 0-1-2-3-4-5: peels 5, 4, 3, 2 one layer at a time, then stops at qd 1
+    g = LocalGraph.from_edges([(i, i + 1) for i in range(5)], {v: "A" for v in range(6)})
 
     def delete(S):
         g.remove_vertices(S)
         return True
 
-    return greedy_peel(
-        g, queries, lambda: farthest_layer(query_distances(g, queries)), delete,
-        max_iterations=max_iterations,
-    )
-
-
-def test_greedy_peel_stops_at_max_iterations():
-    # 0-1-2-3-4-5: peels 5, 4, 3, 2 one layer at a time, then stops at qd 1
-    assert _path_peel(6, [0, 1]) == ({0, 1}, 1, 5)
-    # capped: the first iteration records the whole path, then deletes 5
-    assert _path_peel(6, [0, 1], max_iterations=1) == (set(range(6)), 5, 1)
+    qd = lambda: farthest_layer(query_distances(g, [0, 1]))  # noqa: E731
+    assert greedy_peel(g, [0, 1], qd, delete) == ({0, 1}, 1, 5)
 
 
 def test_greedy_peel_disconnected_queries():
@@ -164,6 +158,5 @@ def test_greedy_peel_disconnected_queries():
         raise AssertionError("nothing to delete when the queries are cut off")
 
     assert greedy_peel(
-        g, [0, 10], lambda: farthest_layer(query_distances(g, [0, 10])), delete,
-        max_iterations=10,
+        g, [0, 10], lambda: farthest_layer(query_distances(g, [0, 10])), delete
     ) == (None, INF, 1)

@@ -76,14 +76,6 @@ def test_run_twice_is_error_free_via_fresh_engines():
     assert a.vertices == b.vertices
 
 
-def test_max_iterations_guard():
-    eng = RefinementEngine(find_g0_local(figure2_graph(), [0, 10], [4, 3], 1), max_iterations=1)
-    res = eng.run()
-    # one iteration still records the initial feasible snapshot
-    assert res is not None
-    assert eng.stats["iterations"] == 1
-
-
 def test_pairstate_side_vertices():
     bp = Bipartite([1], [2], [(1, 2)])
     ps = PairState(0, 1, bp)

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.g0 import find_g0_local
-from repro.core.model import is_bcc
+from repro.core.model import InvalidQuery, is_bcc
 from repro.local.butterfly import butterfly_degrees
 from repro.synth_graphs import FIG3_IDS, figure2_graph, figure3_graph, planted_bcc_graph
 
@@ -30,12 +30,14 @@ def test_g0_none_when_b_too_large():
 
 def test_g0_none_same_labels():
     g = figure2_graph()
-    assert find_g0_local(g, [0, 5], [4, 4], 1) is None
+    with pytest.raises(InvalidQuery, match="repeat a label"):
+        find_g0_local(g, [0, 5], [4, 4], 1)
 
 
 def test_g0_none_missing_query():
     g = figure2_graph()
-    assert find_g0_local(g, [0, 999], [4, 3], 1) is None
+    with pytest.raises(InvalidQuery, match="999"):
+        find_g0_local(g, [0, 999], [4, 3], 1)
 
 
 def test_figure3_g0():

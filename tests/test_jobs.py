@@ -11,10 +11,9 @@ sys.path.insert(0, str(JOBS))
 def test_table3_run(spark):
     import table3_stats
 
-    df = table3_stats.run(spark, datasets=["baidu1_lite"])
-    rows = df.collect()
+    rows = table3_stats.run(spark, datasets=["baidu1_lite"])
     assert len(rows) == 1
-    r = rows[0].asDict()
+    r = rows[0]
     assert r["Network"] == "baidu1_lite"
     assert r["|V|"] > 0 and r["|E|"] > 0 and r["k_max"] > 0
 
@@ -22,7 +21,7 @@ def test_table3_run(spark):
 def test_bcc_query_run(spark):
     import bcc_query
 
-    df = bcc_query.run(spark, dataset="baidu1_lite", query_idx=0)
-    rows = df.collect()
-    assert len(rows) > 0
-    assert {"id", "label"} <= set(df.columns)
+    res = bcc_query.run(spark, dataset="baidu1_lite", query_idx=0)
+    assert res is not None
+    assert len(res.vertices) > 0
+    assert set(res.graph.labels) == res.vertices

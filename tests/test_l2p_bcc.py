@@ -1,10 +1,12 @@
 """L²P-BCC — BCindex-based local exploration (Algorithm 8)."""
 import pytest
 
-from repro.core import build_bcindex_local, default_ks, is_bcc, l2p_bcc
+from repro.core import InvalidQuery, build_bcindex_local, default_ks, is_bcc, l2p_bcc
 from repro.core.l2p import butterfly_core_path, expand_candidate
 from repro.local.graph import LocalGraph
 from repro.synth_graphs import figure2_graph, planted_bcc_graph
+
+from tests.test_query_contract import MALFORMED
 
 
 def test_figure2_finds_the_bcc():
@@ -50,12 +52,14 @@ def test_candidate_bounded_by_eta():
 
 def test_missing_query_returns_none():
     g = figure2_graph()
-    assert l2p_bcc(g, [0, 999], [4, 3], 1) is None
+    with pytest.raises(InvalidQuery, match="999"):
+        l2p_bcc(g, [0, 999], [4, 3], 1)
 
 
 def test_same_label_queries_return_none():
     g = figure2_graph()
-    assert l2p_bcc(g, [0, 5], [4, 4], 1) is None
+    with pytest.raises(InvalidQuery, match="repeat a label"):
+        l2p_bcc(g, [0, 5], [4, 4], 1)
 
 
 def test_invalid_queries_build_no_index(monkeypatch):
@@ -67,8 +71,9 @@ def test_invalid_queries_build_no_index(monkeypatch):
 
     monkeypatch.setattr(l2p, "build_bcindex_local", fail)
     g = figure2_graph()
-    assert l2p.l2p_bcc(g, [0, 999], [4, 3], 1) is None
-    assert l2p.l2p_bcc(g, [0, 5], [4, 4], 1) is None
+    for queries, ks in MALFORMED.values():
+        with pytest.raises(InvalidQuery):
+            l2p.l2p_bcc(g, queries, ks, 1)
 
 
 def test_path_prefers_high_coreness_route():
@@ -88,7 +93,7 @@ def test_path_prefers_high_coreness_route():
     g = LocalGraph.from_edges(edges, labels)
     idx = build_bcindex_local(g)
     chi = {v: 0 for v in g.vertices}
-    p = butterfly_core_path(idx, chi, 0, set(g.vertices), 0, 10, gamma1=0.5, gamma2=0.0)
+    p = butterfly_core_path(idx, chi, 0, set(g.vertices), 0, 10)
     assert p == [0, 1, 10]  # not [0, 9, 10]
 
 

@@ -27,20 +27,20 @@ def fig3_bipartite():
 
 def test_example5_left_leader_is_v1():
     g, bp, chi, left, right = fig3_bipartite()
-    p = identify_leader(g, I["q_l"], chi, left, b=1, rho=3)
+    p = identify_leader(g, I["q_l"], chi, left, b=1)
     assert p == I["v1"]
 
 
 def test_example5_right_leader_is_u2():
     g, bp, chi, left, right = fig3_bipartite()
-    p = identify_leader(g, I["q_r"], chi, right, b=1, rho=3)
+    p = identify_leader(g, I["q_r"], chi, right, b=1)
     assert p == I["u2"]
 
 
 def test_leader_biased_query_returns_itself():
     """A query vertex with chi >= b_max/2 is returned immediately."""
     g, bp, chi, left, right = fig3_bipartite()
-    p = identify_leader(g, I["v1"], chi, left, b=1, rho=3)
+    p = identify_leader(g, I["v1"], chi, left, b=1)
     assert p == I["v1"]
 
 

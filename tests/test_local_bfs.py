@@ -62,12 +62,6 @@ def test_eccentricity_and_diameter():
     assert diameter(g) == 5
 
 
-def test_diameter_restricted_to_subset():
-    g = path_graph(6)
-    # distance measured inside the full graph between subset vertices
-    assert diameter(g, {0, 2}) == 2
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_diameter_matches_bruteforce(seed):
     g = random_labeled_graph(15, 0.3, seed=seed)

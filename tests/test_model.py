@@ -49,11 +49,6 @@ def test_same_label_queries_fail():
     assert not is_bcc(h, [0, 5], [4, 4], 1)
 
 
-def test_explicit_labels_mismatch():
-    h = figure2_bcc()
-    assert not is_bcc(h, [0, 10], [4, 3], 1, labels=["SE", "PM"])
-
-
 def test_core_condition_checked_per_group():
     # two triangles joined by one cross edge: groups are 2-cores, no butterfly
     g = LocalGraph.from_edges(

@@ -5,12 +5,14 @@ from itertools import combinations, product
 import pytest
 
 from repro.core.g0 import find_g0_local, find_g0_spark
+from repro.core.model import InvalidQuery
 from repro.graphlib.labeled import SparkLabeledGraph
 from repro.local.graph import LocalGraph
 from repro.local.kcore import label_coreness
 from repro.synth_graphs import FIG3_IDS, figure2_graph
 
 from tests.helpers import random_labeled_graph
+from tests.test_query_contract import MALFORMED
 
 I = FIG3_IDS
 
@@ -39,6 +41,14 @@ def _assert_same_g0(g, sg, queries, ks, b):
     return loc.graph
 
 
+def _assert_both_raise(g, sg, queries, ks, b):
+    """find_g0_local and find_g0_spark both reject a malformed query."""
+    with pytest.raises(InvalidQuery):
+        find_g0_local(g, queries, ks, b)
+    with pytest.raises(InvalidQuery):
+        find_g0_spark(sg, queries, ks, b)
+
+
 def test_fig2_g0_spark_equals_local(fig2_spark):
     assert _assert_same_g0(figure2_graph(), fig2_spark, [0, 10], [4, 3], 1) is not None
 
@@ -47,8 +57,8 @@ def test_fig2_g0_spark_none_cases(fig2_spark):
     g = figure2_graph()
     assert _assert_same_g0(g, fig2_spark, [0, 10], [5, 3], 1) is None
     assert _assert_same_g0(g, fig2_spark, [0, 10], [4, 3], 2) is None
-    assert _assert_same_g0(g, fig2_spark, [0, 5], [4, 4], 1) is None
-    assert _assert_same_g0(g, fig2_spark, [0, 999], [4, 3], 1) is None
+    for queries, ks in MALFORMED.values():
+        _assert_both_raise(g, fig2_spark, queries, ks, 1)
 
 
 def test_fig3_g0_spark_equals_local(fig3_spark, fig3_local):
@@ -135,12 +145,13 @@ def test_g0_spark_equals_local_random(random_graphs, name):
     g = graphs[name]
     Q, ks = _feasible_query(g, 2)
     assert _assert_same_g0(g, sg, Q, ks, 1) is not None
-    # None cases that return after the lookup: k above the query's
-    # coreness, same-label queries, a vertex not in the graph
+    # None after the lookup: k above the query's coreness
     assert _assert_same_g0(g, sg, Q, [ks[0] + 1, ks[1]], 1) is None
+    # malformed after the lookup: same-label queries, a vertex not in
+    # the graph
     same = sorted(g.vertices_with_label(g.label(Q[0])))[:2]
-    assert _assert_same_g0(g, sg, same, [0, 0], 1) is None
-    assert _assert_same_g0(g, sg, [Q[0], 10**9], [ks[0], 0], 1) is None
+    _assert_both_raise(g, sg, same, [0, 0], 1)
+    _assert_both_raise(g, sg, [Q[0], 10**9], [ks[0], 0], 1)
 
 
 def test_g0_spark_equals_local_m3(random_graphs):
