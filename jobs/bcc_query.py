@@ -1,9 +1,10 @@
 """End-to-end distributed BCC query demo.
 
-Runs one full BCC search where the G0 phase (per-label coreness filter
-and one BFS from the queries) executes as Spark dataflow (Algorithm 2
-distributed), then Algorithm 2's feasibility check and the refinement
-loop run on the collected candidate. Prints the community and its
+Runs one full BCC search where the G0 phase runs on Spark (Algorithm 2
+distributed): the per-label coreness fixpoint and the core forest built
+from it, then one collect of the candidate's edges; Algorithm 2's
+feasibility check and the refinement loop run on the collected
+candidate. Prints the community and its
 stats.
 
     spark-submit jobs/bcc_query.py [dataset] [community_id]

@@ -23,7 +23,7 @@ def run(spark: SparkSession, datasets=None) -> List[dict]:
     rows = []
     for name in datasets or DATASET_PARAMS:
         pg = load(name)
-        sg = SparkLabeledGraph(*pg.to_spark(spark)).cache()
+        sg = SparkLabeledGraph(*pg.to_spark(spark))
         rows.append(graph_stats(sg, name).row())
     return rows
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional
 
-from pyspark.sql import functions as F
-
 from ..graphlib.butterfly import butterfly_degrees as spark_butterfly_degrees
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
@@ -68,16 +66,12 @@ def build_bcindex_local(g: LocalGraph) -> BCIndex:
 
 def build_bcindex_spark(sg: SparkLabeledGraph) -> BCIndex:
     """Distributed BCindex: coreness per label group from the graph's
-    memoised ``label_coreness()``; chi per label pair lazily via
-    distributed wedge joins.
+    memoised ``core_forest()`` (the one collect of ``label_coreness()``);
+    chi per label pair lazily via distributed wedge joins.
 
     The collected index (a dict per vertex) is what query processing
     consults in O(1), per the paper.
     """
-    core = {
-        int(r["id"]): int(r["coreness"])
-        for r in sg.label_coreness().select("id", "coreness").collect()
-    }
-    idx = BCIndex(sg.to_local(), core)
+    idx = BCIndex(sg.to_local(), sg.core_forest().coreness)
     idx._spark = sg
     return idx

@@ -3,16 +3,18 @@
 Two interchangeable engines with identical semantics (cross-checked in
 tests). Both read the graph's memoised per-label coreness (the
 BCindex's first component): the k-core of a label group is
-``{v : delta(v) >= k}``, so each query's core component is a coreness
-filter plus one BFS over the query's own label.
+``{v : delta(v) >= k}``.
 
-* :func:`find_g0_spark` — the distributed implementation: the filter
-  and one multi-source BFS from all queries run as DataFrame dataflow
-  over the full graph; only the resulting candidate (community sized)
-  is collected to the driver.
+* :func:`find_g0_spark` — the distributed implementation: each query's
+  core component is a lookup in the graph's memoised per-label core
+  forest (driver side), and one Spark query collects the edges among
+  those vertices, so only the candidate (community sized) reaches the
+  driver.
 * :func:`find_g0_local` — driver-local variant used by the per-query
   experiment loops, where thousands of G0 extractions would otherwise
-  each pay Spark job-scheduling latency (see DESIGN.md section 2).
+  each pay Spark job-scheduling latency (see DESIGN.md section 2); each
+  query's core component is a coreness filter plus one BFS over the
+  query's own label.
 
 Both end in the same driver-side feasibility check,
 :func:`feasible_candidate`, which generalizes Algorithm 2 from 2 to m
@@ -25,14 +27,11 @@ bipartite graph and χ here only.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import List, Mapping, Optional, Sequence, Set
 
 from pyspark.sql import functions as F
 
-from ..graphlib.bfs import bfs_distances
 from ..graphlib.labeled import SparkLabeledGraph
 from ..local.butterfly import butterfly_degrees
 from ..local.graph import LocalGraph
@@ -119,29 +118,22 @@ def find_g0_spark(
 ) -> Optional[Candidate]:
     """Distributed Algorithm 2: the graph-sized passes stay in Spark.
 
-    Keeps the vertices with ``label = l_i`` and per-label coreness
-    ``>= k_i`` for some query ``q_i`` (``sg.label_coreness()``), then
-    runs one BFS from all queries over the homogeneous edges among them.
-    The labels differ, so the reached set is the union of the per-query
-    core components. It is collected, and the same feasibility check as
-    :func:`find_g0_local` runs on the driver. The query rule is checked
-    on the queries' collected rows.
+    The query rule, the coreness test and each query's core component
+    are lookups in ``sg.core_forest()`` on the driver; G0's vertex set
+    is the union of the components. One Spark query collects the edges
+    of ``sg.edges`` among those vertices, and the same feasibility check
+    as :func:`find_g0_local` runs on the driver.
     """
-    core = sg.label_coreness()
-    rows = core.where(F.col("id").isin([int(q) for q in queries])).collect()
-    by_id = {int(r["id"]): r for r in rows}
-    labs = [by_id[int(q)]["label"] if int(q) in by_id else None for q in queries]
-    check_query(queries, labs, ks)
-    if any(by_id[int(q)]["coreness"] < k for q, k in zip(queries, ks)):
+    forest = sg.core_forest()
+    check_query(queries, [forest.labels.get(int(q)) for q in queries], ks)
+    if any(forest.coreness[int(q)] < k for q, k in zip(queries, ks)):
         return None
-    keep = core.where(
-        reduce(
-            or_,
-            [
-                (F.col("label") == lab) & (F.col("coreness") >= int(k))
-                for lab, k in zip(labs, ks)
-            ],
-        )
+    keep: Set[int] = set()
+    for q, k in zip(queries, ks):
+        keep.update(forest.component(int(q), k))
+    ids = sorted(keep)
+    rows = sg.edges.where(F.col("src").isin(ids) & F.col("dst").isin(ids)).collect()
+    g0 = LocalGraph.from_edges(
+        ((r[0], r[1]) for r in rows), {v: forest.labels[v] for v in ids}, vertices=ids
     )
-    reached = bfs_distances(sg.induced(keep).homogeneous(), queries)
-    return feasible_candidate(sg.induced(reached).to_local(), queries, ks, b)
+    return feasible_candidate(g0, queries, ks, b)

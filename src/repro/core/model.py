@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..local.bfs import diameter as local_diameter
 from ..local.butterfly import Bipartite, butterfly_degrees
+from ..local.forest import UnionFind
 from ..local.graph import LocalGraph
 
 
@@ -138,17 +139,10 @@ def groups_connected(m: int, links: Iterable[Tuple[int, int]]) -> bool:
     """Def. 7: the label graph on groups ``0..m-1`` with an edge per
     satisfied pair in ``links`` is connected (union-find). For m = 2
     this is just "the one pair is satisfied"."""
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(m))
     for i, j in links:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in range(m)}) == 1
+        uf.union(i, j)
+    return uf.sets == 1
 
 
 def is_bcc(g: LocalGraph, queries: Sequence[int], ks: Sequence[int], b: int) -> bool:

@@ -2,14 +2,16 @@
 
 ``SparkLabeledGraph`` is the bulk representation used for the global
 phases of BCC search: per-label coreness (the BCindex's first
-component, memoised per graph), butterfly counting, BCindex
-construction, and dataset statistics. Vertices are ``(id
-BIGINT, label STRING)``; edges are canonical undirected ``(src, dst)``
-with ``src < dst``, deduplicated, self-loop free.
+component) and the per-label core forest built from it (both memoised
+per graph), butterfly counting, BCindex construction, and dataset
+statistics. Vertices are ``(id BIGINT, label STRING)``; edges are
+canonical undirected ``(src, dst)`` with ``src < dst``, deduplicated,
+self-loop free.
 
 All operations are DataFrame/Catalyst only (no RDDs): adjacency is the
 symmetrized edge relation, degree is a groupBy, induced subgraphs are
-semi-joins.
+semi-joins. The core forest is the one driver-side structure: O(|V|)
+state, built by streaming the homogeneous edges through the driver once.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..local.forest import CoreForest
 from ..local.graph import LocalGraph
 from .kcore import coreness
 
@@ -50,6 +53,7 @@ class SparkLabeledGraph:
             .select("src", "dst")
         )
         self._label_core: Optional[DataFrame] = None
+        self._forest: Optional[CoreForest] = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -67,13 +71,19 @@ class SparkLabeledGraph:
     def _of(cls, vertices: DataFrame, edges: DataFrame) -> "SparkLabeledGraph":
         """A graph over frames that are already canonical, with no memo."""
         g = cls.__new__(cls)
-        g.vertices, g.edges, g._label_core = vertices, edges, None
+        g.vertices, g.edges, g._label_core, g._forest = vertices, edges, None, None
         return g
 
     # -- persistence helpers -------------------------------------------
     def cache(self) -> "SparkLabeledGraph":
+        """Persist both frames and build :meth:`core_forest`: the graph is
+        then ready to serve queries, and each Spark G0 on it is a lookup
+        plus one collect. The per-graph cost (the coreness fixpoint and
+        the forest) is paid here, not inside whichever query comes first.
+        """
         self.vertices = self.vertices.cache()
         self.edges = self.edges.cache()
+        self.core_forest()
         return self
 
     # -- relational views ----------------------------------------------
@@ -135,6 +145,41 @@ class SparkLabeledGraph:
                 .localCheckpoint(eager=True)
             )
         return self._label_core
+
+    def core_forest(self) -> CoreForest:
+        """The per-label core forest (:class:`~repro.local.forest.CoreForest`)
+        of this graph, built on the driver by :meth:`cache` (or on first
+        use) and kept on this instance like :meth:`label_coreness`.
+
+        Collects ``(id, label, coreness)`` once, then streams the
+        homogeneous edges with ``w = min`` of their endpoints' coreness,
+        sorted by descending ``w``, through ``toLocalIterator``: the
+        driver holds one partition of edges at a time.
+        """
+        if self._forest is None:
+            core = self.label_coreness()
+            rows = core.collect()
+            delta = {r["id"]: r["coreness"] for r in rows}
+            labels = {r["id"]: r["label"] for r in rows}
+            ends = [
+                core.select(
+                    F.col("id").alias(end),
+                    F.col("label").alias(f"l_{end}"),
+                    F.col("coreness").alias(f"c_{end}"),
+                )
+                for end in ("src", "dst")
+            ]
+            hom = (
+                self.edges.join(ends[0], "src")
+                .join(ends[1], "dst")
+                .where(F.col("l_src") == F.col("l_dst"))
+                .select("src", "dst", F.least("c_src", "c_dst").alias("w"))
+                .orderBy(F.desc("w"))
+            )
+            self._forest = CoreForest(
+                delta, labels, ((r[0], r[1], r[2]) for r in hom.toLocalIterator())
+            )
+        return self._forest
 
     def cross_edges(self, label_a: str, label_b: str) -> DataFrame:
         """Heterogeneous edges between two label groups as (left, right).

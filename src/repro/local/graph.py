@@ -82,15 +82,23 @@ class LocalGraph:
             self.label_core_memo = None
 
     def add_edge(self, u: int, v: int, lu: object = None, lv: object = None) -> None:
+        """Add the edge ``{u, v}``; an endpoint not yet in the graph is
+        created with its label ``lu`` / ``lv``, which must then be given
+        (a ``None`` label would read as "not in the graph")."""
         if u == v:
             return
         if u not in self.adj:
-            self.add_vertex(u, lu)
+            self._add_endpoint(u, lu)
         if v not in self.adj:
-            self.add_vertex(v, lv)
+            self._add_endpoint(v, lv)
         self.adj[u].add(v)
         self.adj[v].add(u)
         self.label_core_memo = None
+
+    def _add_endpoint(self, v: int, label: object) -> None:
+        if label is None:
+            raise ValueError(f"vertex {v} is not in the graph and add_edge got no label for it")
+        self.add_vertex(v, label)
 
     # -- basic accessors ------------------------------------------------
     def __contains__(self, v: int) -> bool:

@@ -8,8 +8,9 @@ fast implementations are checked against on small inputs.
 ``old_psa`` keep the implementations that a faster or shared path
 replaced, as differential references for it; ``butterfly_degree_of``
 and ``total_butterflies`` are single-vertex and whole-graph butterfly
-counts, and ``homogeneous_induced`` and ``cross_edges`` local
-label-group views, that only tests need.
+counts, ``homogeneous_induced`` and ``cross_edges`` local label-group
+views, and ``local_core_forest`` the core forest of a driver-local
+graph, that only tests need.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.local.butterfly import Bipartite, butterfly_degrees
+from repro.local.forest import CoreForest
 from repro.local.graph import LocalGraph, canon
+from repro.local.kcore import label_coreness
 
 
 def random_labeled_graph(
@@ -37,6 +40,17 @@ def random_labeled_graph(
         if rng.random() < p
     ]
     return LocalGraph.from_edges(edges, lab, vertices=range(n))
+
+
+def local_core_forest(g: LocalGraph) -> CoreForest:
+    """The per-label core forest of ``g``: its memoised label coreness
+    and its homogeneous edges in non-increasing min-coreness."""
+    core, lab = label_coreness(g), g.labels
+    edges = sorted(
+        ((u, v, min(core[u], core[v])) for u, v in g.edges() if lab[u] == lab[v]),
+        key=lambda e: -e[2],
+    )
+    return CoreForest(core, lab, edges)
 
 
 def random_bipartite(

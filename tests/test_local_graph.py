@@ -148,6 +148,22 @@ def test_add_edge_creates_vertices():
     assert g.num_edges() == 1
 
 
+def test_add_edge_needs_label_of_new_endpoint():
+    """An unseen endpoint without a label is rejected at ``add_edge``
+    (it used to be stored with label ``None``, which the query rule
+    reads as "not in the graph"); known endpoints need no label."""
+    g = LocalGraph()
+    with pytest.raises(ValueError, match="vertex 0"):
+        g.add_edge(0, 1)
+    assert len(g) == 0
+    g.add_edge(10, 11, "B", "B")
+    with pytest.raises(ValueError, match="vertex 0"):
+        g.add_edge(0, 10)
+    g.add_vertex(0, "A")
+    g.add_edge(0, 10)
+    assert g.adj[0] == {10} and g.label(0) == "A"
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_random_graph_invariants(seed):
     g = random_labeled_graph(30, 0.15, seed=seed)

@@ -11,7 +11,7 @@ from repro.local.graph import LocalGraph
 from repro.local.kcore import label_coreness
 from repro.synth_graphs import FIG3_IDS, figure2_graph
 
-from tests.helpers import random_labeled_graph
+from tests.helpers import local_core_forest, random_labeled_graph
 from tests.test_query_contract import MALFORMED
 
 I = FIG3_IDS
@@ -161,15 +161,32 @@ def test_g0_spark_equals_local_m3(random_graphs):
     assert _assert_same_g0(g, sg, Q, ks, 1) is not None
 
 
-#: Spark jobs a warm find_g0_spark may run on Figure 3: one lookup
-#: collect, a few BFS rounds and the collect of G0 (37 measured under
-#: this suite's session settings)
-MAX_WARM_G0_JOBS = 50
+def test_spark_core_forest_equals_local(random_graphs):
+    """``sg.core_forest()`` (coreness collected, edges streamed) gives
+    the union's labels, coreness and, for every vertex and every
+    1 <= k <= delta, the same component as the forest built from the
+    driver-local graph."""
+    graphs, sg = random_graphs
+    forest = sg.core_forest()
+    assert sg.core_forest() is forest
+    for g in graphs.values():
+        ref = local_core_forest(g)
+        for v in g.vertices:
+            assert forest.labels[v] == g.label(v)
+            assert forest.coreness[v] == ref.coreness[v]
+            for k in range(1, ref.coreness[v] + 1):
+                assert sorted(forest.component(v, k)) == sorted(ref.component(v, k))
+
+
+#: Spark jobs a warm find_g0_spark may run on Figure 3: G0 is a forest
+#: lookup, so only the collect of its edges runs (1 measured under this
+#: suite's session settings)
+MAX_WARM_G0_JOBS = 8
 
 
 def test_warm_spark_g0_job_bound(spark, fig3_spark):
     Q = [I["q_l"], I["q_r"]]
-    fig3_spark.label_coreness()  # the once-per-graph fixpoint
+    fig3_spark.core_forest()  # the once-per-graph fixpoint and forest
     sc = spark.sparkContext
     group = "test_warm_spark_g0_job_bound"
     sc.setJobGroup(group, "warm find_g0_spark on Figure 3")
